@@ -10,44 +10,24 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .archive import ArchiveWriter, read_archive
-from .audio import load_wav
 from .config import validate_config
-from .corpus import (
-    DEFAULT_SILENCE_LABELS,
-    derive_vad,
-    group_alignments,
-    load_alignment,
-    load_manifest,
-)
-from .features import (
-    SpecAugmentParams,
-    apply_vad_filter,
-    compute_fbank,
-    frame_count,
-    frame_sizes,
-    sliding_mean_normalize,
-    spec_augment,
-    FRAME_SHIFT_S,
-    FRAME_WIDTH_S,
-)
+from .corpus import DEFAULT_SILENCE_LABELS
+from .features import SpecAugmentParams
 from .kws import KeywordSpec, frr_at_far, kws_roc, load_labels, load_posteriors, utterance_confidence
-from .pipeline import PipelineError, parse_stages, run_pipeline, segment_corpus
-from .rng import derive_seed
-from .scoring import (
-    compute_det_metrics,
-    format_roc,
-    format_scores,
-    load_trials,
-    parse_scores,
-    roc_svg,
-    score_trials,
+from .pipeline import (
+    PipelineError,
+    augment_audio,
+    evaluate_scores,
+    extract_embeddings,
+    featurize_corpus,
+    parse_stages,
+    run_pipeline,
+    score_embeddings,
+    segment_corpus,
+    synthesize_libraries,
+    train_model,
 )
-from .segmentation import list_library_speakers, load_library
-from .synthesis import augment_corpus, synthesize_corpus
-from .tdnn import AamParams, TdnnConfig, forward, init_tdnn, load_params, save_params, train_step
+from .scoring import format_roc, roc_svg
 from .toydata import DEFAULT_UNITS, default_speaker_specs, make_toy_corpus
 
 EXIT_OK = 0
@@ -100,7 +80,6 @@ def build_parser() -> _Parser:
     p.add_argument("--transcript", type=_units_arg, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--noise-dir", default=None)
     p.add_argument("--snr-list", type=_snr_arg, default=())
     p.add_argument("--rir-dir", default=None)
@@ -111,7 +90,7 @@ def build_parser() -> _Parser:
     p.add_argument("--audio-root", default=None)
     p.add_argument("--ali", default=None, help="alignments for VAD filtering")
     p.add_argument("--cmn-window", type=int, default=300)
-    p.add_argument("--specaug", action="store_true")
+    p.add_argument("--specaug", action="store_true", help="also write a masked 'train' archive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--freq-mask-width", type=int, default=8)
     p.add_argument("--num-freq-masks", type=int, default=1)
@@ -161,7 +140,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run pipeline stages from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--stages", default=None, help="comma list, or 'none' to only validate")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     return parser
@@ -170,163 +148,81 @@ def build_parser() -> _Parser:
 # --- command handlers -----------------------------------------------------
 
 
-def _cmd_make_toy(args) -> int:
+def _cmd_make_toy(args) -> list[str]:
     uncovered = tuple(s for s in args.uncovered.split(",") if s)
     specs = default_speaker_specs(args.speakers, args.units, uncovered)
     corpus = make_toy_corpus(args.out, specs, args.units)
+    lines = []
     for spec in corpus.specs:
         counts = " ".join(f"{u}:{spec.unit_counts.get(u, 0)}" for u in corpus.units)
-        print(f"{spec.speaker_id}: {counts}")
-    print(f"wrote {len(corpus.records)} utterances to {corpus.root}")
-    return EXIT_OK
+        lines.append(f"{spec.speaker_id}: {counts}")
+    lines.append(f"wrote {len(corpus.records)} utterances to {corpus.root}")
+    return lines
 
 
-def _cmd_segment(args) -> int:
-    manifest = Path(args.manifest)
-    audio_root = Path(args.audio_root) if args.audio_root else manifest.parent
-    lines = segment_corpus(
-        manifest,
+def _audio_root(args) -> Path:
+    return Path(args.audio_root) if args.audio_root else Path(args.manifest).parent
+
+
+def _cmd_segment(args) -> list[str]:
+    return segment_corpus(
+        Path(args.manifest),
         Path(args.ali),
-        audio_root,
+        _audio_root(args),
         args.units,
         frozenset(args.silence),
         Path(args.out),
     )
-    print("\n".join(lines))
-    return EXIT_OK
 
 
-def _cmd_synth(args) -> int:
-    libdir = Path(args.libdir)
-    speakers = list_library_speakers(libdir)
-    if not speakers:
-        raise PipelineError(f"no unit libraries under {libdir}")
-    libs = [load_library(libdir / spk) for spk in speakers]
-    report = synthesize_corpus(
-        libs, args.transcript, args.seed, out_dir=args.out, workers=args.workers
-    )
-    for spk, count in sorted(report.per_speaker_counts.items()):
-        print(f"{spk}: {count} utterances")
-    for spk, missing in report.skipped:
-        print(f"skipped {spk}: missing {' '.join(missing)}")
-    if (args.noise_dir and args.snr_list) or args.rir_dir:
-        noise_paths = sorted(Path(args.noise_dir).glob("*.wav")) if args.noise_dir else None
-        rir_paths = sorted(Path(args.rir_dir).glob("*.wav")) if args.rir_dir else None
-        records = [s.record for s in report.utterances]
-        out_records, rows = augment_corpus(
-            records,
-            args.out,
-            Path(args.out) / "augmented",
-            derive_seed(args.seed, "augment"),
-            noise_paths=noise_paths,
-            snr_list=list(args.snr_list) or None,
-            rir_paths=rir_paths,
+def _cmd_synth(args) -> list[str]:
+    out = Path(args.out)
+    lines = synthesize_libraries(Path(args.libdir), args.transcript, args.seed, out)
+    if args.noise_dir or args.rir_dir:
+        lines += augment_audio(
+            out / "manifest.tsv",
+            out,
+            out / "augmented",
+            args.seed,
+            args.noise_dir,
+            args.snr_list,
+            args.rir_dir,
         )
-        print(f"augmented copies: {len(out_records)}")
-    return EXIT_OK
+    return lines
 
 
-def _cmd_featurize(args) -> int:
-    manifest_path = Path(args.manifest)
-    audio_root = Path(args.audio_root) if args.audio_root else manifest_path.parent
-    records = load_manifest(manifest_path)
-    alignments = group_alignments(load_alignment(args.ali)) if args.ali else None
-    sa_params = (
+def _cmd_featurize(args) -> list[str]:
+    specaug = (
         SpecAugmentParams(
             args.freq_mask_width, args.num_freq_masks, args.time_mask_width, args.num_time_masks
         )
         if args.specaug
         else None
     )
-    with ArchiveWriter(args.out) as writer:
-        for rec in records:
-            wav = load_wav(audio_root / rec.audio_path)
-            if rec.channel_index is not None:
-                wav = wav.channel(rec.channel_index)
-            feats = compute_fbank(wav)
-            if alignments is not None:
-                win, shift = frame_sizes(wav.sample_rate)
-                vad = derive_vad(
-                    alignments.get(rec.utterance_id, []),
-                    FRAME_SHIFT_S,
-                    FRAME_WIDTH_S,
-                    frame_count(wav.num_samples, win, shift),
-                )
-                feats = apply_vad_filter(feats, vad)
-            feats = sliding_mean_normalize(feats, args.cmn_window)
-            if sa_params is not None:
-                feats = spec_augment(
-                    feats, sa_params, derive_seed(args.seed, "specaug", rec.utterance_id)
-                )
-            writer.add(rec.utterance_id, feats)
-    print(f"featurized {len(records)} utterances -> {args.out}.bin")
-    return EXIT_OK
+    sources = [(Path(args.manifest), _audio_root(args))]
+    ali = Path(args.ali) if args.ali else None
+    return featurize_corpus(sources, Path(args.out), args.cmn_window, specaug, args.seed, ali)
 
 
-def _cmd_train_toy(args) -> int:
-    archive = read_archive(args.features)
-    speaker_of = {r.utterance_id: r.speaker_id for r in load_manifest(args.manifest)}
-    missing = [u for u in archive if u not in speaker_of]
-    if missing:
-        raise PipelineError(f"feature ids missing from manifest: {', '.join(missing[:5])}")
-    speakers = sorted({speaker_of[u] for u in archive})
-    if len(speakers) < 2:
-        raise PipelineError(f"training needs at least 2 speakers, found {len(speakers)}")
-    class_index = {s: i for i, s in enumerate(speakers)}
-    batch = [
-        (records[0].astype(np.float64), class_index[speaker_of[utt_id]])
-        for utt_id, records in archive.items()
-    ]
-    params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(args.seed, "init"))
-    aam = AamParams()
-    first = None
-    loss = float("nan")
-    for _ in range(args.steps):
-        params, loss = train_step(params, batch, args.lr, aam)
-        if first is None:
-            first = loss
-    save_params(args.out, params)
-    print(f"classes: {len(speakers)}  steps: {args.steps}")
-    print(f"first_loss: {first:.6f}  final_loss: {loss:.6f}")
-    return EXIT_OK
+def _cmd_train_toy(args) -> list[str]:
+    features, manifest, out = Path(args.features), Path(args.manifest), Path(args.out)
+    return train_model(features, [manifest], out, args.steps, args.lr, args.seed)
 
 
-def _cmd_extract(args) -> int:
-    params = load_params(args.params)
-    with ArchiveWriter(args.out) as writer:
-        for utt_id, records in read_archive(args.features).items():
-            for feats in records:
-                embedding, _ = forward(params, feats.astype(np.float64))
-                writer.add(utt_id, embedding)
-    print(f"wrote embeddings -> {args.out}.bin")
-    return EXIT_OK
+def _cmd_extract(args) -> list[str]:
+    return extract_embeddings(Path(args.params), Path(args.features), Path(args.out))
 
 
-def _cmd_score(args) -> int:
-    trials = load_trials(args.trials)
-    score_set = score_trials(trials, read_archive(args.embeddings))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(format_scores(trials, score_set), encoding="utf-8")
-    print(f"scored {len(trials)} trials -> {out}")
-    return EXIT_OK
+def _cmd_score(args) -> list[str]:
+    return score_embeddings(Path(args.trials), Path(args.embeddings), Path(args.out))
 
 
-def _cmd_eval(args) -> int:
-    score_set = parse_scores(Path(args.scores).read_text(encoding="utf-8"))
-    metrics = compute_det_metrics(score_set, args.p_target, args.c_miss, args.c_fa)
-    print(f"eer_percent = {100.0 * metrics.eer:.4f}")
-    print(f"eer_threshold = {metrics.eer_threshold:.6f}")
-    print(f"min_dcf = {metrics.min_dcf:.6f}")
-    print(f"dcf_threshold = {metrics.dcf_threshold:.6f}")
-    if args.roc:
-        roc_path = Path(args.roc)
-        roc_path.parent.mkdir(parents=True, exist_ok=True)
-        roc_path.write_text(format_roc(metrics.roc), encoding="utf-8")
-    return EXIT_OK
+def _cmd_eval(args) -> list[str]:
+    roc = Path(args.roc) if args.roc else None
+    return evaluate_scores(Path(args.scores), args.p_target, args.c_miss, args.c_fa, roc)[1]
 
 
-def _cmd_plot_roc(args) -> int:
+def _cmd_plot_roc(args) -> list[str]:
     points = []
     for lineno, line in enumerate(
         Path(args.roc).read_text(encoding="utf-8").splitlines(), start=1
@@ -340,11 +236,10 @@ def _cmd_plot_roc(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(roc_svg(points, args.title), encoding="utf-8")
-    print(f"wrote {out}")
-    return EXIT_OK
+    return [f"wrote {out}"]
 
 
-def _cmd_kws_eval(args) -> int:
+def _cmd_kws_eval(args) -> list[str]:
     labels = load_labels(args.labels)
     spec = KeywordSpec.from_labels(args.keyword, labels, args.smooth, args.search)
     positives = [
@@ -359,19 +254,18 @@ def _cmd_kws_eval(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(format_roc(points), encoding="utf-8")
-    for far_target in (0.01, 0.001):
-        print(f"frr_at_far_{far_target:g} = {frr_at_far(points, far_target):.6f}")
-    return EXIT_OK
+    return [
+        f"frr_at_far_{far_target:g} = {frr_at_far(points, far_target):.6f}"
+        for far_target in (0.01, 0.001)
+    ]
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> list[str]:
     cfg = validate_config(Path(args.config).read_text(encoding="utf-8"))
     if args.seed is not None:
         cfg.seed = args.seed
     stages = parse_stages(args.stages)
-    report = run_pipeline(cfg, stages, workers=args.workers)
-    print(report, end="")
-    return EXIT_OK
+    return run_pipeline(cfg, stages).splitlines()
 
 
 _HANDLERS = {
@@ -392,7 +286,7 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        lines = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"unitcat: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -402,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # anything unexpected is still a runtime failure
         print(f"unitcat: runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    print("\n".join(lines))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

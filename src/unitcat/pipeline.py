@@ -1,27 +1,41 @@
 """End-to-end pipeline: segment, synth, augment, featurize, train,
 extract, score, eval.
 
-Every stage reads its inputs from the previous stage's directory under
-cfg.out_dir and writes deterministic artifacts: all randomness derives
-from the config seed, parallel work is mapped in a fixed order and written
-by the parent, and no artifact contains a timestamp, so rerunning with any
-worker count reproduces the tree byte for byte.
+Each stage is one public function of explicit input paths, output paths
+and parameters that returns its report lines; ``unitcat run`` and the
+standalone subcommands both call it. ``run_pipeline`` reads every stage's
+inputs from the previous stage's directory under cfg.out_dir and replaces
+the stage's own directory, so a rerun never reads a stale artifact. All
+randomness derives from one seed and no artifact contains a timestamp, so
+rerunning with the same seed reproduces the tree byte for byte.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import contextlib
+import shutil
 from pathlib import Path
 
 import numpy as np
 
 from .archive import ArchiveWriter, read_archive
-from .audio import load_wav
+from .audio import Waveform, load_wav
 from .config import ConfigError, PipelineConfig
-from .corpus import group_alignments, load_alignment, load_manifest
-from .features import SpecAugmentParams, compute_fbank, sliding_mean_normalize, spec_augment
+from .corpus import UtteranceRecord, derive_vad, group_alignments, load_alignment, load_manifest
+from .features import (
+    FRAME_SHIFT_S,
+    FRAME_WIDTH_S,
+    SpecAugmentParams,
+    apply_vad_filter,
+    compute_fbank,
+    frame_count,
+    frame_sizes,
+    sliding_mean_normalize,
+    spec_augment,
+)
 from .rng import derive_seed
 from .scoring import (
+    DetMetrics,
     compute_det_metrics,
     format_roc,
     format_scores,
@@ -68,23 +82,19 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _pmap(fn, items: list, workers: int) -> list:
-    if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _record_audio(audio_root: Path, rec: UtteranceRecord) -> Waveform:
+    wav = load_wav(audio_root / rec.audio_path)
+    return wav.channel(rec.channel_index) if rec.channel_index is not None else wav
 
 
-def run_pipeline(
-    cfg: PipelineConfig, stages: tuple[str, ...] = STAGES, workers: int = 1
-) -> str:
+def run_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> str:
     out = Path(cfg.out_dir)
     report: list[str] = []
     if not stages:
         return "config valid; no stages requested\n"
     for stage in stages:
         runner = _STAGE_RUNNERS[stage]
-        lines = runner(cfg, out, workers)
+        lines = runner(cfg, out)
         report.append(f"[{stage}]")
         report.extend(lines)
         report.append("")
@@ -113,9 +123,7 @@ def segment_corpus(
     for rec in manifest:
         if rec.utterance_id not in alignments:
             raise PipelineError(f"no alignment entries for utterance {rec.utterance_id!r}")
-        wav = load_wav(audio_root / rec.audio_path)
-        if rec.channel_index is not None:
-            wav = wav.channel(rec.channel_index)
+        wav = _record_audio(audio_root, rec)
         segs = extract_segments(
             wav, alignments[rec.utterance_id], rec.speaker_id, silence_labels
         )
@@ -141,31 +149,15 @@ def segment_corpus(
     return lines
 
 
-def _stage_segment(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    corpus = Path(cfg.corpus_dir)
-    return segment_corpus(
-        corpus / "manifest.tsv",
-        corpus / "ali.ctm",
-        corpus,
-        cfg.transcript,
-        cfg.silence_labels,
-        out / "libraries",
-    )
-
-
-def _stage_synth(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    libdir = _require(out / "libraries", "unit library directory")
-    speakers = list_library_speakers(libdir)
+def synthesize_libraries(
+    libdir: Path, transcript: tuple[str, ...], seed: int, out_dir: Path
+) -> list[str]:
+    """Synthesize from every unit library under libdir into out_dir."""
+    speakers = list_library_speakers(_require(libdir, "unit library directory"))
     if not speakers:
         raise PipelineError(f"no unit libraries under {libdir}")
     libs = [load_library(libdir / spk) for spk in speakers]
-    result = synthesize_corpus(
-        libs,
-        cfg.transcript,
-        derive_seed(cfg.seed, "synth"),
-        out_dir=out / "synth",
-        workers=workers,
-    )
+    result = synthesize_corpus(libs, transcript, derive_seed(seed, "synth"), out_dir=out_dir)
     lines = [
         f"{spk}: {n} utterances" for spk, n in sorted(result.per_speaker_counts.items())
     ]
@@ -175,168 +167,154 @@ def _stage_synth(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
     return lines
 
 
-def _stage_augment(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    if not (cfg.noise_dir and cfg.snr_list) and not cfg.rir_dir:
+def augment_audio(
+    manifest_path: Path,
+    audio_root: Path,
+    out_dir: Path,
+    seed: int,
+    noise_dir: str | Path | None,
+    snr_list: tuple[float, ...],
+    rir_dir: str | Path | None,
+) -> list[str]:
+    """Noisy copies (noise_dir with at least one SNR) and reverberant
+    copies (rir_dir) of a manifest's utterances, written to out_dir."""
+    if not (noise_dir and snr_list) and not rir_dir:
         return ["nothing configured, skipped"]
-    synth_dir = _require(out / "synth", "synthesized corpus")
-    records = load_manifest(_require(synth_dir / "manifest.tsv", "synthesized manifest"))
-    noise_paths = sorted(Path(cfg.noise_dir).glob("*.wav")) if cfg.noise_dir else []
-    rir_paths = sorted(Path(cfg.rir_dir).glob("*.wav")) if cfg.rir_dir else []
-    if cfg.noise_dir and not noise_paths:
-        raise PipelineError(f"no .wav files under noise_dir {cfg.noise_dir}")
-    if cfg.rir_dir and not rir_paths:
-        raise PipelineError(f"no .wav files under rir_dir {cfg.rir_dir}")
+    records = load_manifest(_require(manifest_path, "synthesized manifest"))
+    noise_paths = sorted(Path(noise_dir).glob("*.wav")) if noise_dir else []
+    rir_paths = sorted(Path(rir_dir).glob("*.wav")) if rir_dir else []
+    if noise_dir and not noise_paths:
+        raise PipelineError(f"no .wav files under noise_dir {noise_dir}")
+    if rir_dir and not rir_paths:
+        raise PipelineError(f"no .wav files under rir_dir {rir_dir}")
     out_records, rows = augment_corpus(
         records,
-        synth_dir,
-        out / "augmented",
-        derive_seed(cfg.seed, "augment"),
+        audio_root,
+        out_dir,
+        derive_seed(seed, "augment"),
         noise_paths=noise_paths or None,
-        snr_list=list(cfg.snr_list) or None,
+        snr_list=list(snr_list) or None,
         rir_paths=rir_paths or None,
     )
     clipped = sum(r.clipped for r in rows)
     return [f"augmented copies: {len(out_records)}", f"clipped samples: {clipped}"]
 
 
-def _featurize_one(args) -> tuple[str, np.ndarray, np.ndarray | None]:
-    utt_id, wav_path, cmn_window, sa_params, sa_seed = args
-    feats = sliding_mean_normalize(compute_fbank(load_wav(wav_path)), cmn_window)
-    masked = spec_augment(feats, sa_params, sa_seed) if sa_params is not None else None
-    return utt_id, feats, masked
-
-
-def _feature_inputs(cfg: PipelineConfig, out: Path) -> list[tuple[str, Path]]:
-    synth_dir = _require(out / "synth", "synthesized corpus")
-    records = load_manifest(_require(synth_dir / "manifest.tsv", "synthesized manifest"))
-    inputs = [(r.utterance_id, synth_dir / r.audio_path) for r in records]
-    aug_manifest = out / "augmented" / "manifest.tsv"
-    if aug_manifest.exists():
-        for r in load_manifest(aug_manifest):
-            inputs.append((r.utterance_id, out / "augmented" / r.audio_path))
-    return inputs
-
-
-def _stage_featurize(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    inputs = _feature_inputs(cfg, out)
-    sa_params = (
-        SpecAugmentParams(
-            cfg.freq_mask_width, cfg.num_freq_masks, cfg.time_mask_width, cfg.num_time_masks
-        )
-        if cfg.spec_augment
-        else None
-    )
-    tasks = [
-        (
-            utt_id,
-            str(path),
-            cfg.cmn_window,
-            sa_params,
-            derive_seed(cfg.seed, "specaug", utt_id),
-        )
-        for utt_id, path in inputs
-    ]
-    results = _pmap(_featurize_one, tasks, workers)
-    feat_dir = out / "features"
-    frames = 0
-    with ArchiveWriter(feat_dir / "features") as plain:
-        for utt_id, feats, _ in results:
-            plain.add(utt_id, feats)
-            frames += len(feats)
-    lines = [f"utterances: {len(results)}", f"frames: {frames}"]
-    if sa_params is not None:
-        with ArchiveWriter(feat_dir / "train") as masked_archive:
-            for utt_id, _, masked in results:
-                masked_archive.add(utt_id, masked)
+def featurize_corpus(
+    sources: list[tuple[Path, Path]],
+    out_base: Path,
+    cmn_window: int,
+    specaug: SpecAugmentParams | None,
+    seed: int,
+    alignment_path: Path | None = None,
+) -> list[str]:
+    """Normalized fbank features of every record of each (manifest, audio
+    root) source, in the archive out_base. With alignments, non-speech
+    frames are dropped before normalization. With specaug, a masked copy
+    of every record goes to the archive "train" beside out_base."""
+    train_base = out_base.with_name("train")
+    if specaug is not None and out_base.with_suffix("") == train_base:
+        raise ValueError(f"{out_base} is where the masked archive goes; choose another name")
+    alignments = group_alignments(load_alignment(alignment_path)) if alignment_path else None
+    utterances = frames = 0
+    with contextlib.ExitStack() as stack:
+        plain = stack.enter_context(ArchiveWriter(out_base))
+        masked = stack.enter_context(ArchiveWriter(train_base)) if specaug is not None else None
+        for manifest_path, audio_root in sources:
+            for rec in load_manifest(_require(manifest_path, "manifest")):
+                wav = _record_audio(audio_root, rec)
+                feats = compute_fbank(wav)
+                if alignments is not None:
+                    win, shift = frame_sizes(wav.sample_rate)
+                    vad = derive_vad(
+                        alignments.get(rec.utterance_id, []),
+                        FRAME_SHIFT_S,
+                        FRAME_WIDTH_S,
+                        frame_count(wav.num_samples, win, shift),
+                    )
+                    feats = apply_vad_filter(feats, vad)
+                feats = sliding_mean_normalize(feats, cmn_window)
+                plain.add(rec.utterance_id, feats)
+                if masked is not None:
+                    mask_seed = derive_seed(seed, "specaug", rec.utterance_id)
+                    masked.add(rec.utterance_id, spec_augment(feats, specaug, mask_seed))
+                utterances += 1
+                frames += len(feats)
+    lines = [f"utterances: {utterances}", f"frames: {frames}"]
+    if masked is not None:
         lines.append("masking: on")
     return lines
 
 
-def _speaker_labels(out: Path) -> dict[str, str]:
-    labels: dict[str, str] = {}
-    for manifest in (out / "synth" / "manifest.tsv", out / "augmented" / "manifest.tsv"):
-        if manifest.exists():
-            for rec in load_manifest(manifest):
-                labels[rec.utterance_id] = rec.speaker_id
-    return labels
-
-
-def _stage_train(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    base = out / "features" / ("train" if cfg.spec_augment else "features")
-    _require(base.with_suffix(".tsv"), "feature archive")
-    archive = read_archive(base)
-    speaker_of = _speaker_labels(out)
-    speakers = sorted({speaker_of[u] for u in archive if u in speaker_of})
+def train_model(
+    features_base: Path,
+    manifest_paths: list[Path],
+    params_path: Path,
+    steps: int,
+    learn_rate: float,
+    seed: int,
+) -> list[str]:
+    """Train the TDNN on the first record of every archived id, labelled
+    with its speaker from the manifests."""
+    _require(features_base.with_suffix(".tsv"), "feature archive")
+    archive = read_archive(features_base)
+    speaker_of = {
+        rec.utterance_id: rec.speaker_id
+        for path in manifest_paths
+        for rec in load_manifest(_require(path, "manifest"))
+    }
+    missing = [u for u in archive if u not in speaker_of]
+    if missing:
+        raise PipelineError(f"feature ids missing from the manifests: {', '.join(missing[:5])}")
+    speakers = sorted({speaker_of[u] for u in archive})
     if len(speakers) < 2:
         raise PipelineError(f"training needs at least 2 speakers, found {len(speakers)}")
     class_index = {s: i for i, s in enumerate(speakers)}
-    batch = []
-    for utt_id, records in archive.items():
-        if utt_id not in speaker_of:
-            raise PipelineError(f"feature record {utt_id!r} is missing from the manifests")
-        batch.append((records[0].astype(np.float64), class_index[speaker_of[utt_id]]))
+    batch = [
+        (records[0].astype(np.float64), class_index[speaker_of[utt_id]])
+        for utt_id, records in archive.items()
+    ]
 
-    params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(cfg.seed, "init"))
+    params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init"))
     aam = AamParams()
     first_loss = None
     loss = float("nan")
-    for _ in range(cfg.train_steps):
-        params, loss = train_step(params, batch, cfg.learn_rate, aam)
+    for _ in range(steps):
+        params, loss = train_step(params, batch, learn_rate, aam)
         if first_loss is None:
             first_loss = loss
-    save_params(out / "model" / "params.bin", params)
+    save_params(params_path, params)
     return [
         f"classes: {len(speakers)}",
         f"utterances: {len(batch)}",
-        f"steps: {cfg.train_steps}",
+        f"steps: {steps}",
         f"first_loss: {first_loss:.6f}",
         f"final_loss: {loss:.6f}",
     ]
 
 
-_EXTRACT_PARAMS = None
+def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -> list[str]:
+    """One embedding per feature record, in archive order."""
+    params = load_params(_require(params_path, "trained parameters"))
+    _require(features_base.with_suffix(".tsv"), "feature archive")
+    archive = read_archive(features_base)
+    count = 0
+    with ArchiveWriter(out_base) as writer:
+        for utt_id, records in archive.items():
+            for feats in records:
+                embedding, _ = forward(params, feats.astype(np.float64))
+                writer.add(utt_id, embedding)
+                count += 1
+    return [f"embeddings: {count}"]
 
 
-def _set_extract_params(params) -> None:
-    global _EXTRACT_PARAMS
-    _EXTRACT_PARAMS = params
-
-
-def _extract_one(args) -> tuple[str, np.ndarray]:
-    utt_id, feats = args
-    embedding, _ = forward(_EXTRACT_PARAMS, feats.astype(np.float64))
-    return utt_id, embedding
-
-
-def _stage_extract(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    params = load_params(_require(out / "model" / "params.bin", "trained parameters"))
-    base = out / "features" / "features"
-    _require(base.with_suffix(".tsv"), "feature archive")
-    archive = read_archive(base)
-    tasks = [(utt_id, records[0]) for utt_id, records in archive.items()]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_extract_params, initargs=(params,)
-        ) as pool:
-            results = list(pool.map(_extract_one, tasks))
-    else:
-        _set_extract_params(params)
-        results = [_extract_one(t) for t in tasks]
-    with ArchiveWriter(out / "embeddings" / "embeddings") as writer:
-        for utt_id, embedding in results:
-            writer.add(utt_id, embedding)
-    return [f"embeddings: {len(results)}"]
-
-
-def _stage_score(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    trials = load_trials(_require(Path(cfg.corpus_dir) / "trials.tsv", "trial list"))
-    emb_base = out / "embeddings" / "embeddings"
-    _require(emb_base.with_suffix(".tsv"), "embedding archive")
-    embeddings = read_archive(emb_base)
-    score_set = score_trials(trials, embeddings)
-    scores_dir = out / "scores"
-    scores_dir.mkdir(parents=True, exist_ok=True)
-    (scores_dir / "scores.txt").write_text(format_scores(trials, score_set), encoding="utf-8")
+def score_embeddings(trials_path: Path, embeddings_base: Path, scores_path: Path) -> list[str]:
+    """Cosine-score every trial, writing the score file."""
+    trials = load_trials(_require(trials_path, "trial list"))
+    _require(embeddings_base.with_suffix(".tsv"), "embedding archive")
+    score_set = score_trials(trials, read_archive(embeddings_base))
+    scores_path.parent.mkdir(parents=True, exist_ok=True)
+    scores_path.write_text(format_scores(trials, score_set), encoding="utf-8")
     n_target = int(np.count_nonzero(score_set.is_target))
     return [
         f"trials: {len(trials)}",
@@ -345,20 +323,109 @@ def _stage_score(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
     ]
 
 
-def _stage_eval(cfg: PipelineConfig, out: Path, workers: int) -> list[str]:
-    scores_path = _require(out / "scores" / "scores.txt", "score file")
-    score_set = parse_scores(scores_path.read_text(encoding="utf-8"))
-    metrics = compute_det_metrics(score_set, cfg.p_target, cfg.c_miss, cfg.c_fa)
-    eval_dir = out / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    (eval_dir / "roc.tsv").write_text(format_roc(metrics.roc), encoding="utf-8")
-    (eval_dir / "roc.svg").write_text(roc_svg(metrics.roc), encoding="utf-8")
-    summary = [
+def evaluate_scores(
+    scores_path: Path, p_target: float, c_miss: float, c_fa: float, roc_path: Path | None = None
+) -> tuple[DetMetrics, list[str]]:
+    """EER and minDCF of a score file, with their summary lines; the DET
+    sweep goes to roc_path when one is given."""
+    text = _require(scores_path, "score file").read_text(encoding="utf-8")
+    metrics = compute_det_metrics(parse_scores(text), p_target, c_miss, c_fa)
+    if roc_path is not None:
+        roc_path.parent.mkdir(parents=True, exist_ok=True)
+        roc_path.write_text(format_roc(metrics.roc), encoding="utf-8")
+    return metrics, [
         f"eer_percent = {100.0 * metrics.eer:.4f}",
         f"eer_threshold = {metrics.eer_threshold:.6f}",
         f"min_dcf = {metrics.min_dcf:.6f}",
         f"dcf_threshold = {metrics.dcf_threshold:.6f}",
     ]
+
+
+# --- run's stage runners: map the config onto the stage functions ---------
+
+
+def _fresh(path: Path) -> Path:
+    """path, after removing what an earlier run left there."""
+    if path.exists():
+        shutil.rmtree(path)
+    return path
+
+
+def _stage_segment(cfg: PipelineConfig, out: Path) -> list[str]:
+    corpus = Path(cfg.corpus_dir)
+    return segment_corpus(
+        corpus / "manifest.tsv",
+        corpus / "ali.ctm",
+        corpus,
+        cfg.transcript,
+        cfg.silence_labels,
+        _fresh(out / "libraries"),
+    )
+
+
+def _stage_synth(cfg: PipelineConfig, out: Path) -> list[str]:
+    return synthesize_libraries(out / "libraries", cfg.transcript, cfg.seed, _fresh(out / "synth"))
+
+
+def _stage_augment(cfg: PipelineConfig, out: Path) -> list[str]:
+    synth = out / "synth"
+    return augment_audio(
+        synth / "manifest.tsv",
+        synth,
+        _fresh(out / "augmented"),
+        cfg.seed,
+        cfg.noise_dir,
+        cfg.snr_list,
+        cfg.rir_dir,
+    )
+
+
+def _corpus_sources(out: Path) -> list[tuple[Path, Path]]:
+    """(manifest, audio root) of the synthesized corpus and, when augment
+    wrote one, of the augmented copies."""
+    dirs = [out / "synth"]
+    if (out / "augmented" / "manifest.tsv").exists():
+        dirs.append(out / "augmented")
+    return [(d / "manifest.tsv", d) for d in dirs]
+
+
+def _stage_featurize(cfg: PipelineConfig, out: Path) -> list[str]:
+    specaug = (
+        SpecAugmentParams(
+            cfg.freq_mask_width, cfg.num_freq_masks, cfg.time_mask_width, cfg.num_time_masks
+        )
+        if cfg.spec_augment
+        else None
+    )
+    feats = _fresh(out / "features") / "features"
+    return featurize_corpus(_corpus_sources(out), feats, cfg.cmn_window, specaug, cfg.seed)
+
+
+def _stage_train(cfg: PipelineConfig, out: Path) -> list[str]:
+    feats = out / "features" / ("train" if cfg.spec_augment else "features")
+    manifests = [manifest for manifest, _ in _corpus_sources(out)]
+    params = _fresh(out / "model") / "params.bin"
+    return train_model(feats, manifests, params, cfg.train_steps, cfg.learn_rate, cfg.seed)
+
+
+def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
+    params = out / "model" / "params.bin"
+    embeddings = _fresh(out / "embeddings") / "embeddings"
+    return extract_embeddings(params, out / "features" / "features", embeddings)
+
+
+def _stage_score(cfg: PipelineConfig, out: Path) -> list[str]:
+    trials = Path(cfg.corpus_dir) / "trials.tsv"
+    scores = _fresh(out / "scores") / "scores.txt"
+    return score_embeddings(trials, out / "embeddings" / "embeddings", scores)
+
+
+def _stage_eval(cfg: PipelineConfig, out: Path) -> list[str]:
+    eval_dir = _fresh(out / "eval")
+    metrics, summary = evaluate_scores(
+        out / "scores" / "scores.txt", cfg.p_target, cfg.c_miss, cfg.c_fa, eval_dir / "roc.tsv"
+    )
+    (eval_dir / "roc.svg").write_text(roc_svg(metrics.roc), encoding="utf-8")
     (eval_dir / "metrics.txt").write_text(
         "".join(line + "\n" for line in summary), encoding="utf-8"
     )

@@ -2,8 +2,8 @@
 
 Every random decision in the toolkit flows from one user-facing seed through
 ``derive_seed``, so independent work items (one per speaker, per utterance,
-per augmentation copy) get independent streams and the overall output is
-reproducible regardless of scheduling or worker count.
+per augmentation copy) get independent streams, and each item's output can
+be reproduced on its own, whatever else is processed with it.
 
 The generator is splitmix64; the string hash is FNV-1a. Both are fixed
 algorithms, so streams are stable across platforms and Python versions.

@@ -9,13 +9,12 @@ rendered audio lives here too.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, load_wav, read_wav, save_wav, write_wav
+from .audio import Waveform, load_wav, save_wav
 from .corpus import UtteranceRecord, save_manifest
 from .rng import SplitMix64, derive_seed
 from .segmentation import UnitLibrary, library_stats
@@ -110,61 +109,39 @@ def render(plan: SynthesisPlan, lib: UnitLibrary) -> Waveform:
     return Waveform(samples, chosen[0].sample_rate)
 
 
-def _synthesize_speaker(
-    args: tuple[UnitLibrary, tuple[str, ...], int],
-) -> list[tuple[str, SynthesisPlan, bytes]]:
-    lib, transcript, seed = args
-    stats = library_stats(lib, unique_units(transcript))
-    out = []
-    for i, plan in enumerate(plan_synthesis(lib, transcript, stats.max_count, seed)):
-        out.append((synth_utterance_id(lib.speaker_id, i), plan, write_wav(render(plan, lib))))
-    return out
-
-
 def synthesize_corpus(
     libraries: list[UnitLibrary],
     transcript: tuple[str, ...],
     seed: int,
     out_dir: str | Path | None = None,
-    workers: int = 1,
 ) -> SynthesisReport:
     """Render per covered speaker exactly max-unit-count utterances.
 
     Speakers whose library misses any transcript unit are skipped and
-    reported. Output is deterministic for a fixed seed regardless of
-    worker count: per-utterance seeds are derived from (seed, speaker,
-    index) and artifacts are written by the parent in library order.
+    reported. Output is deterministic for a fixed seed: per-utterance
+    seeds are derived from (seed, speaker, index), and utterances are
+    rendered and written in library order.
     """
     units = unique_units(transcript)
-    covered = []
     skipped = []
     counts: dict[str, int] = {}
+    utterances = []
     for lib in libraries:
         stats = library_stats(lib, units)
-        if stats.covered:
-            covered.append(lib)
-            counts[lib.speaker_id] = stats.max_count
-        else:
+        if not stats.covered:
             missing = tuple(u for u in units if stats.counts[u] == 0)
             skipped.append((lib.speaker_id, missing))
-
-    tasks = [(lib, tuple(transcript), seed) for lib in covered]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_speaker = list(pool.map(_synthesize_speaker, tasks))
-    else:
-        per_speaker = [_synthesize_speaker(t) for t in tasks]
-
-    utterances = []
-    for lib, rendered in zip(covered, per_speaker):
-        for utt_id, plan, wav_bytes in rendered:
+            continue
+        counts[lib.speaker_id] = stats.max_count
+        for i, plan in enumerate(plan_synthesis(lib, transcript, stats.max_count, seed)):
+            utt_id = synth_utterance_id(lib.speaker_id, i)
             record = UtteranceRecord(
                 utterance_id=utt_id,
                 speaker_id=lib.speaker_id,
                 transcript=tuple(transcript),
                 audio_path=f"wav/{utt_id}.wav",
             )
-            utterances.append(SynthesizedUtterance(record, plan, read_wav(wav_bytes)))
+            utterances.append(SynthesizedUtterance(record, plan, render(plan, lib)))
 
     report = SynthesisReport(utterances, counts, skipped)
     if out_dir is not None:

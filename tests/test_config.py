@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from unitcat.config import (
@@ -148,3 +151,15 @@ def test_malformed_line_rejected():
 def test_empty_section_name_rejected():
     with pytest.raises(ConfigError, match="empty section"):
         validate_config("[]\n")
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    cfg = validate_config(blocks[0])
+    assert cfg.corpus_dir == "/data/corpus"
+    assert cfg.noise_dir == "/data/noise"
+    assert cfg.transcript == ("ni", "hao", "mi", "ya")
+    assert cfg.silence_labels == frozenset({"sil", "spn"})
+    assert cfg.snr_list == (0.0, 5.0, 10.0)

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from unitcat.audio import save_wav, Waveform
-from unitcat.archive import read_archive
+from unitcat.archive import read_archive, write_archive
 from unitcat.config import ConfigError, validate_config
 from unitcat.pipeline import (
     STAGES,
     PipelineError,
+    extract_embeddings,
     parse_stages,
     run_pipeline,
 )
+from unitcat.tdnn import TdnnConfig, init_tdnn, save_params
 from unitcat.toydata import default_speaker_specs, make_toy_corpus
 
 
@@ -235,3 +237,48 @@ def test_spec_augment_creates_separate_training_archive(tmp_path):
         int(not np.array_equal(plain[u][0], masked[u][0])) for u in plain
     )
     assert changed > 0
+
+
+def test_rerun_without_noise_drops_the_old_noisy_copies(tmp_path):
+    corpus = tmp_path / "corpus"
+    make_toy_corpus(corpus, default_speaker_specs(2))
+    noise_dir = tmp_path / "noises"
+    noise_dir.mkdir()
+    rng = np.random.default_rng(1)
+    save_wav(
+        noise_dir / "babble.wav",
+        Waveform(rng.integers(-2000, 2000, size=8000, dtype=np.int16), 16000),
+    )
+    out = tmp_path / "out"
+    base = (
+        "[paths]\n"
+        f"corpus_dir = {corpus}\n"
+        f"out_dir = {out}\n"
+        "{noise}"
+        "[synthesis]\n"
+        "transcript = ni hao mi ya\n"
+        "seed = 11\n"
+        "[augment]\n"
+        "snr_list = 0\n"
+    )
+    stages = ("segment", "synth", "augment", "featurize")
+    noisy = run_pipeline(validate_config(base.format(noise=f"noise_dir = {noise_dir}\n")), stages)
+    assert "synthesized: 9" in noisy
+    assert "utterances: 18" in noisy
+
+    clean = run_pipeline(validate_config(base.format(noise="")), stages)
+    assert "nothing configured, skipped" in clean
+    assert "utterances: 9" in clean
+    assert not (out / "augmented").exists()
+    assert len(read_archive(out / "features" / "features")) == 9
+
+
+def test_extract_embeds_every_record_of_an_id(tmp_path):
+    feats = np.random.default_rng(3).standard_normal((3, 30, 40)).astype(np.float32)
+    write_archive(tmp_path / "feats", [("a", feats[0]), ("a", feats[1]), ("b", feats[2])])
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+    lines = extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
+    assert lines == ["embeddings: 3"]
+    embeddings = read_archive(tmp_path / "emb")
+    assert [len(embeddings["a"]), len(embeddings["b"])] == [2, 1]
+    assert not np.array_equal(embeddings["a"][0], embeddings["a"][1])

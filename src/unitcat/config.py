@@ -6,6 +6,7 @@ all rejected with the offending line number so config drift fails loudly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corpus import DEFAULT_SILENCE_LABELS
@@ -57,6 +58,20 @@ def _parse_label_set(raw: str) -> frozenset[str]:
     return frozenset(raw.split())
 
 
+def _parse_positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def _parse_learn_rate(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"expected a finite number >= 0, got {raw!r}")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     return tuple(float(p) for p in parts)
@@ -84,8 +99,8 @@ _SCHEMA = {
     ("features", "num_freq_masks"): ("num_freq_masks", int, 1),
     ("features", "time_mask_width"): ("time_mask_width", int, 20),
     ("features", "num_time_masks"): ("num_time_masks", int, 1),
-    ("train", "steps"): ("train_steps", int, 200),
-    ("train", "learn_rate"): ("learn_rate", float, 0.05),
+    ("train", "steps"): ("train_steps", _parse_positive_int, 200),
+    ("train", "learn_rate"): ("learn_rate", _parse_learn_rate, 0.05),
     ("metrics", "p_target"): ("p_target", float, 0.01),
     ("metrics", "c_miss"): ("c_miss", float, 1.0),
     ("metrics", "c_fa"): ("c_fa", float, 1.0),

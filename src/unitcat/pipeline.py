@@ -54,7 +54,16 @@ from .segmentation import (
     save_library,
 )
 from .synthesis import synthesize_corpus, unique_units, augment_corpus
-from .tdnn import AamParams, TdnnConfig, forward, init_tdnn, load_params, save_params, train_step
+from .tdnn import (
+    MIN_FRAMES,
+    AamParams,
+    TdnnConfig,
+    forward,
+    init_tdnn,
+    load_params,
+    save_params,
+    train_step,
+)
 
 STAGES = ("segment", "synth", "augment", "featurize", "train", "extract", "score", "eval")
 
@@ -215,19 +224,35 @@ def featurize_corpus(
     train_base = out_base.with_name("train")
     if specaug is not None and out_base.with_suffix("") == train_base:
         raise ValueError(f"{out_base} is where the masked archive goes; choose another name")
+    manifests = [
+        (load_manifest(_require(manifest_path, "manifest")), audio_root)
+        for manifest_path, audio_root in sources
+    ]
     alignments = group_alignments(load_alignment(alignment_path)) if alignment_path else None
+    if alignments is not None:
+        unaligned = [
+            rec.utterance_id
+            for records, _ in manifests
+            for rec in records
+            if rec.utterance_id not in alignments
+        ]
+        if unaligned:
+            raise ValueError(
+                f"{len(unaligned)} utterance(s) have no alignment entries: "
+                f"{', '.join(unaligned[:5])}"
+            )
     utterances = frames = 0
     with contextlib.ExitStack() as stack:
         plain = stack.enter_context(ArchiveWriter(out_base))
         masked = stack.enter_context(ArchiveWriter(train_base)) if specaug is not None else None
-        for manifest_path, audio_root in sources:
-            for rec in load_manifest(_require(manifest_path, "manifest")):
+        for records, audio_root in manifests:
+            for rec in records:
                 wav = _record_audio(audio_root, rec)
                 feats = compute_fbank(wav)
                 if alignments is not None:
                     win, shift = frame_sizes(wav.sample_rate)
                     vad = derive_vad(
-                        alignments.get(rec.utterance_id, []),
+                        alignments[rec.utterance_id],
                         FRAME_SHIFT_S,
                         FRAME_WIDTH_S,
                         frame_count(wav.num_samples, win, shift),
@@ -256,6 +281,8 @@ def train_model(
 ) -> list[str]:
     """Train the TDNN on the first record of every archived id, labelled
     with its speaker from the manifests."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     _require(features_base.with_suffix(".tsv"), "feature archive")
     archive = read_archive(features_base)
     speaker_of = {
@@ -269,6 +296,16 @@ def train_model(
     speakers = sorted({speaker_of[u] for u in archive})
     if len(speakers) < 2:
         raise PipelineError(f"training needs at least 2 speakers, found {len(speakers)}")
+    short = [
+        f"{utt_id} ({len(records[0])})"
+        for utt_id, records in archive.items()
+        if len(records[0]) < MIN_FRAMES
+    ]
+    if short:
+        raise ValueError(
+            f"training needs at least {MIN_FRAMES} frames per utterance; "
+            f"{len(short)} have fewer: {', '.join(short[:5])}"
+        )
     class_index = {s: i for i, s in enumerate(speakers)}
     batch = [
         (records[0].astype(np.float64), class_index[speaker_of[utt_id]])
@@ -277,19 +314,17 @@ def train_model(
 
     params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init"))
     aam = AamParams()
-    first_loss = None
-    loss = float("nan")
+    losses = []
     for _ in range(steps):
         params, loss = train_step(params, batch, learn_rate, aam)
-        if first_loss is None:
-            first_loss = loss
+        losses.append(loss)
     save_params(params_path, params)
     return [
         f"classes: {len(speakers)}",
         f"utterances: {len(batch)}",
         f"steps: {steps}",
-        f"first_loss: {first_loss:.6f}",
-        f"final_loss: {loss:.6f}",
+        f"first_loss: {losses[0]:.6f}",
+        f"final_loss: {losses[-1]:.6f}",
     ]
 
 

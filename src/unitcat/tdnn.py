@@ -7,6 +7,13 @@ embedding (pre-activation), and a bias-free projection yields per-class
 cosines trained with an additive-angular-margin softmax. Everything is
 float64 numpy with hand-derived analytic gradients, so the whole network
 is finite-difference checkable.
+
+Training runs in stacked passes: ``loss_and_grads`` concatenates up to
+CHUNK_FRAMES frames of a batch's utterances into one stream and runs each
+frame layer as one GEMM over it, forward and backward. Rows whose context
+window straddles two utterances are computed but never pooled, so their
+gradient is exactly zero. ``forward`` runs the same frame-layer loop on a
+single utterance.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ STATS_DIM = 2 * FRAME_LAYERS[-1][2]
 # total splice context: frames needed to produce one pooled frame
 MIN_FRAMES = 1 + sum(max(offs) - min(offs) for _, offs, _ in FRAME_LAYERS)
 VARIANCE_FLOOR = 1e-10
+# frames per stacked pass of loss_and_grads: enough rows for the GEMMs to
+# run near the BLAS rate, few enough that a pass's buffers stay ~15 MB
+CHUNK_FRAMES = 384
 
 PARAMS_MAGIC = "TDNNPARAMS"
 PARAMS_VERSION = 1
@@ -94,16 +104,21 @@ def init_tdnn(cfg: TdnnConfig, seed: int) -> TdnnParams:
     return TdnnParams(cfg, tensors)
 
 
-def splice(x: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
+def splice(
+    x: np.ndarray, offsets: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """Concatenate offset copies of x along the feature axis, valid frames
-    only: output row k gathers input rows k+off-min(offsets)."""
+    only: output row k gathers input rows k+off-min(offsets). The copy goes
+    to out when one is given."""
     lo = -min(offsets)
     out_frames = len(x) - (max(offsets) - min(offsets))
     if out_frames < 1:
         raise ValueError(
             f"{len(x)} frames is too short for splice offsets {offsets}"
         )
-    return np.hstack([x[lo + off : lo + off + out_frames] for off in offsets])
+    return np.concatenate(
+        [x[lo + off : lo + off + out_frames] for off in offsets], axis=1, out=out
+    )
 
 
 def stats_pool(h: np.ndarray, floor: float = VARIANCE_FLOOR) -> np.ndarray:
@@ -116,8 +131,7 @@ def stats_pool(h: np.ndarray, floor: float = VARIANCE_FLOOR) -> np.ndarray:
     return np.concatenate([mean, std])
 
 
-def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.ndarray]:
-    """Forward pass keeping every intermediate (for audits and backprop)."""
+def _check_feats(params: TdnnParams, feats: np.ndarray) -> np.ndarray:
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != params.config.feat_dim:
         raise ValueError(
@@ -125,16 +139,34 @@ def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.n
         )
     if len(feats) < MIN_FRAMES:
         raise ValueError(f"need at least {MIN_FRAMES} frames, got {len(feats)}")
-    acts: dict[str, np.ndarray] = {"input": feats}
-    x = feats
-    for name, offsets, _ in FRAME_LAYERS:
-        spliced = splice(x, offsets)
-        pre = spliced @ params.tensors[f"{name}.W"].T + params.tensors[f"{name}.b"]
-        x = np.maximum(pre, 0.0)
+    return feats
+
+
+def _frame_layers(
+    params: TdnnParams, x: np.ndarray, alloc=np.empty
+) -> dict[str, np.ndarray]:
+    """Each frame layer's spliced input and ReLU output over the frame
+    stream x, one GEMM per layer; alloc(shape) supplies the new arrays."""
+    acts: dict[str, np.ndarray] = {}
+    for name, offsets, out_dim in FRAME_LAYERS:
+        rows = len(x) - (max(offsets) - min(offsets))
+        if len(offsets) == 1:
+            spliced = x
+        else:
+            spliced = splice(x, offsets, out=alloc((rows, len(offsets) * x.shape[1])))
+        x = np.matmul(spliced, params.tensors[f"{name}.W"].T, out=alloc((rows, out_dim)))
+        x += params.tensors[f"{name}.b"]
+        np.maximum(x, 0.0, out=x)
         acts[f"{name}.spliced"] = spliced
-        acts[f"{name}.pre"] = pre
         acts[f"{name}.out"] = x
-    pooled = stats_pool(x)
+    return acts
+
+
+def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.ndarray]:
+    """Forward pass keeping each frame layer's spliced input and output,
+    the pooled statistics, the embedding and the cosines."""
+    acts = _frame_layers(params, _check_feats(params, feats))
+    pooled = stats_pool(acts["frame5.out"])
     embedding = pooled @ params.tensors["segment6.W"].T + params.tensors["segment6.b"]
     acts["pooled"] = pooled
     acts["embedding"] = embedding
@@ -215,55 +247,152 @@ def aam_loss(
     return loss, grad_e, grad_w
 
 
+def _chunks(lengths: list[int]) -> list[range]:
+    """Consecutive index ranges of at most CHUNK_FRAMES frames each; an
+    utterance longer than that forms a chunk of its own."""
+    chunks, start, frames = [], 0, 0
+    for i, t in enumerate(lengths):
+        if i > start and frames + t > CHUNK_FRAMES:
+            chunks.append(range(start, i))
+            start, frames = i, 0
+        frames += t
+    chunks.append(range(start, len(lengths)))
+    return chunks
+
+
+class _Buffers:
+    """Arrays handed out again to every chunk pass of a batch: the k-th
+    request of a pass gets the k-th buffer, grown when too small. The
+    chunks then reuse the same pages instead of handing them back to the
+    allocator and faulting fresh ones in."""
+
+    def __init__(self) -> None:
+        self._bufs: list[np.ndarray] = []
+        self._next = 0
+
+    def rewind(self) -> None:
+        self._next = 0
+
+    def __call__(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if self._next == len(self._bufs):
+            self._bufs.append(np.empty(size))
+        elif self._bufs[self._next].size < size:
+            self._bufs[self._next] = np.empty(size)
+        buf = self._bufs[self._next]
+        self._next += 1
+        return buf[:size].reshape(shape)
+
+
 def loss_and_grads(
-    params: TdnnParams, feats: np.ndarray, label: int, aam: AamParams
+    params: TdnnParams, batch: list[tuple[np.ndarray, int]], aam: AamParams
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Full-network loss and gradients for one utterance."""
-    acts = forward_activations(params, feats)
-    loss, grad_emb, grad_proj = aam_loss(
-        acts["embedding"], params.tensors["projection.W"], label, aam
-    )
-    grads: dict[str, np.ndarray] = {"projection.W": grad_proj}
+    """Summed loss and summed gradients over a batch of (features, label)
+    utterances; one utterance is the one-element batch.
 
-    pooled = acts["pooled"]
-    grads["segment6.W"] = np.outer(grad_emb, pooled)
-    grads["segment6.b"] = grad_emb
-    d_pooled = params.tensors["segment6.W"].T @ grad_emb
-
-    h = acts["frame5.out"]
-    num_frames, dim = h.shape
-    mean = pooled[:dim]
-    std = pooled[dim:]
-    d_mean = d_pooled[:dim]
-    d_std = d_pooled[dim:]
-    var = np.mean((h - mean) ** 2, axis=0)
-    # std is clamped at the floor; there the derivative vanishes
-    live = var > VARIANCE_FLOOR
-    d_h = np.tile(d_mean / num_frames, (num_frames, 1))
-    d_h += np.where(live, d_std / std, 0.0) * (h - mean) / num_frames
-
-    d_x = d_h
-    for name, offsets, _ in reversed(FRAME_LAYERS):
-        d_pre = d_x * (acts[f"{name}.pre"] > 0.0)
-        grads[f"{name}.W"] = d_pre.T @ acts[f"{name}.spliced"]
-        grads[f"{name}.b"] = d_pre.sum(axis=0)
-        d_spliced = d_pre @ params.tensors[f"{name}.W"]
-        below = acts["input"] if name == "frame1" else acts[_prev_layer(name) + ".out"]
-        d_below = np.zeros_like(below)
-        lo = -min(offsets)
-        out_frames = len(d_pre)
-        width = below.shape[1]
-        for j, off in enumerate(offsets):
-            d_below[lo + off : lo + off + out_frames] += d_spliced[
-                :, j * width : (j + 1) * width
-            ]
-        d_x = d_below
+    Every utterance is checked before any arithmetic. The batch is then
+    cut into chunks of at most CHUNK_FRAMES frames (a longer utterance is
+    a chunk of its own). Each chunk's utterances are stacked into one
+    frame stream, so each frame layer runs one GEMM per chunk for its
+    forward pass, its weight gradient and its input gradient. A stacked
+    row whose context window straddles two utterances is computed but
+    never pooled, so its gradient is exactly zero. Each chunk's gradients
+    are added in place into one result set.
+    """
+    utts = [(_check_feats(params, feats), label) for feats, label in batch]
+    if not utts:
+        raise ValueError("empty batch")
+    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+    buffers = _Buffers()
+    loss = 0.0
+    for chunk in _chunks([len(feats) for feats, _ in utts]):
+        buffers.rewind()
+        loss += _add_chunk_grads(params, [utts[i] for i in chunk], aam, grads, buffers)
     return loss, grads
 
 
-def _prev_layer(name: str) -> str:
-    names = [n for n, _, _ in FRAME_LAYERS]
-    return names[names.index(name) - 1]
+def _add_chunk_grads(
+    params: TdnnParams,
+    utts: list[tuple[np.ndarray, int]],
+    aam: AamParams,
+    grads: dict[str, np.ndarray],
+    alloc: _Buffers,
+) -> float:
+    """Add one chunk's gradients into grads; returns its summed loss."""
+    frames = sum(len(feats) for feats, _ in utts)
+    stream = np.concatenate(
+        [feats for feats, _ in utts], out=alloc((frames, params.config.feat_dim))
+    )
+    acts = _frame_layers(params, stream, alloc)
+
+    # frame5 row r sees stream rows r .. r + MIN_FRAMES - 1, so utterance
+    # i pools the len - MIN_FRAMES + 1 rows from its first stream row; the
+    # MIN_FRAMES - 1 rows after them straddle two utterances
+    h = acts["frame5.out"]
+    dim = h.shape[1]
+    spans = []
+    start = 0
+    for feats, _ in utts:
+        spans.append(slice(start, start + len(feats) - (MIN_FRAMES - 1)))
+        start += len(feats)
+    # h minus its utterance's mean on pooled rows, zero on straddling rows;
+    # later dL/dh
+    centered = alloc(h.shape)
+    pooled = np.empty((len(utts), 2 * dim))
+    var = np.empty((len(utts), dim))
+    for i, rows in enumerate(spans):
+        pooled[i, :dim] = h[rows].mean(axis=0)
+        c = np.subtract(h[rows], pooled[i, :dim], out=centered[rows])
+        var[i] = np.mean(c * c, axis=0)
+        centered[rows.stop : rows.stop + MIN_FRAMES - 1] = 0.0
+    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+    pooled[:, dim:] = std
+
+    w6 = params.tensors["segment6.W"]
+    embeddings = pooled @ w6.T + params.tensors["segment6.b"]
+    grad_emb = np.empty_like(embeddings)
+    loss = 0.0
+    for i, (_, label) in enumerate(utts):
+        loss_i, grad_emb[i], grad_proj = aam_loss(
+            embeddings[i], params.tensors["projection.W"], label, aam
+        )
+        loss += loss_i
+        grads["projection.W"] += grad_proj
+    grads["segment6.W"] += grad_emb.T @ pooled
+    grads["segment6.b"] += grad_emb.sum(axis=0)
+    d_pooled = grad_emb @ w6
+    # std is clamped at the floor; there the derivative vanishes
+    d_std = np.where(var > VARIANCE_FLOOR, d_pooled[:, dim:] / std, 0.0)
+    for i, rows in enumerate(spans):
+        n = rows.stop - rows.start
+        centered[rows] *= d_std[i] / n
+        centered[rows] += d_pooled[i, :dim] / n
+
+    d_x = centered
+    w_scratch = alloc((max(params.tensors[f"{n}.W"].size for n, _, _ in FRAME_LAYERS),))
+    for depth in range(len(FRAME_LAYERS) - 1, -1, -1):
+        name, offsets, _ = FRAME_LAYERS[depth]
+        w = params.tensors[f"{name}.W"]
+        spliced = acts[f"{name}.spliced"]
+        d_x *= acts[f"{name}.out"] > 0.0
+        grads[f"{name}.W"] += np.matmul(
+            d_x.T, spliced, out=w_scratch[: w.size].reshape(w.shape)
+        )
+        grads[f"{name}.b"] += d_x.sum(axis=0)
+        if depth == 0:
+            break  # the input features take no gradient
+        if len(offsets) == 1:
+            d_x = np.matmul(d_x, w, out=alloc((len(d_x), w.shape[1])))
+            continue
+        # the spliced copy is spent; its buffer takes the spliced gradient
+        d_spliced = np.matmul(d_x, w, out=spliced)
+        lo = -min(offsets)
+        width = w.shape[1] // len(offsets)
+        d_x = alloc((len(d_spliced) + max(offsets) + lo, width))
+        d_x.fill(0.0)
+        for j, off in enumerate(offsets):
+            d_x[lo + off : lo + off + len(d_spliced)] += d_spliced[:, j * width : (j + 1) * width]
+    return loss
 
 
 def train_step(
@@ -272,28 +401,19 @@ def train_step(
     lr: float,
     aam: AamParams,
 ) -> tuple[TdnnParams, float]:
-    """One gradient-descent update on the batch-mean loss."""
-    if not batch:
-        raise ValueError("empty batch")
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    total: dict[str, np.ndarray] = {
-        name: np.zeros_like(t) for name, t in params.tensors.items()
-    }
-    loss_sum = 0.0
-    for feats, label in batch:
-        loss, grads = loss_and_grads(params, feats, label, aam)
-        loss_sum += loss
-        for name, g in grads.items():
-            total[name] += g
+    """One gradient-descent update on the batch-mean loss; params is left
+    unchanged."""
+    if not math.isfinite(lr) or lr < 0:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    loss_sum, grads = loss_and_grads(params, batch, aam)
     mean_loss = loss_sum / len(batch)
     if not math.isfinite(mean_loss):
         raise FloatingPointError(f"non-finite training loss {mean_loss}")
-    scale = lr / len(batch)
-    updated = {
-        name: params.tensors[name] - scale * total[name] for name in params.tensors
-    }
-    return TdnnParams(params.config, updated), mean_loss
+    # turn the summed gradients into the updated tensors in place
+    for name, g in grads.items():
+        g *= -lr / len(batch)
+        g += params.tensors[name]
+    return TdnnParams(params.config, grads), mean_loss
 
 
 def transfer_init(source: TdnnParams, new_num_classes: int, seed: int) -> TdnnParams:

@@ -230,16 +230,16 @@ def test_criterion_4_network():
 
         feats = rng.standard_normal((20, 40))
         label, aam, eps = 2, AamParams(), 1e-5
-        _, grads = loss_and_grads(params, feats, label, aam)
+        _, grads = loss_and_grads(params, [(feats, label)], aam)
         worst = 0.0
         for name, tensor in params.tensors.items():
             flat = tensor.reshape(-1)
             for idx in rng.choice(flat.size, size=6, replace=False):
                 saved = flat[idx]
                 flat[idx] = saved + eps
-                up, _ = loss_and_grads(params, feats, label, aam)
+                up, _ = loss_and_grads(params, [(feats, label)], aam)
                 flat[idx] = saved - eps
-                down, _ = loss_and_grads(params, feats, label, aam)
+                down, _ = loss_and_grads(params, [(feats, label)], aam)
                 flat[idx] = saved
                 fd = (up - down) / (2.0 * eps)
                 an = float(grads[name].reshape(-1)[idx])

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from unitcat.archive import write_archive
+from unitcat.archive import read_archive, write_archive
 from unitcat.cli import build_parser, main
 from unitcat.kws import save_labels
 from unitcat.tdnn import load_params
@@ -189,6 +189,54 @@ def test_featurize_with_vad_drops_silence_frames(cli_workspace, tmp_path):
     assert 0 < rows(vad) < rows(plain)
 
 
+def test_featurize_refuses_utterances_without_alignments(cli_workspace, tmp_path, capsys):
+    _, corpus, _, _, _ = cli_workspace
+    ali = tmp_path / "ali.ctm"
+    lines = (corpus / "ali.ctm").read_text().splitlines(keepends=True)
+    ali.write_text("".join(line for line in lines if not line.startswith("spk1-src-001 ")))
+    out = tmp_path / "vad"
+    code = run_cli(
+        "featurize", "--manifest", str(corpus / "manifest.tsv"), "--out", str(out),
+        "--ali", str(ali),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no alignment entries" in err and "spk1-src-001" in err
+    assert not out.with_suffix(".tsv").exists()
+    assert not out.with_suffix(".bin").exists()
+
+
+def test_train_toy_with_zero_steps_exits_2(cli_workspace, tmp_path, capsys):
+    _, _, _, synth, feats = cli_workspace
+    params = tmp_path / "params.bin"
+    code = run_cli(
+        "train-toy", "--features", str(feats), "--manifest", str(synth / "manifest.tsv"),
+        "--out", str(params), "--steps", "0",
+    )
+    assert code == 2
+    assert "steps must be >= 1" in capsys.readouterr().err
+    assert not params.exists()
+
+
+def test_train_toy_names_utterances_too_short_to_train_on(cli_workspace, tmp_path, capsys):
+    _, _, _, synth, feats = cli_workspace
+    records = read_archive(feats)
+    ids = list(records)
+    short = tmp_path / "short"
+    write_archive(
+        short,
+        [(utt, np.zeros((0, 40), np.float32) if utt == ids[1] else recs[0])
+         for utt, recs in records.items()],
+    )
+    code = run_cli(
+        "train-toy", "--features", str(short), "--manifest", str(synth / "manifest.tsv"),
+        "--out", str(tmp_path / "params.bin"), "--steps", "1",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{ids[1]} (0)" in err and "at least 15 frames" in err
+
+
 def test_synth_with_augmentation(cli_workspace, tmp_path, capsys):
     _, _, libs, _, _ = cli_workspace
     noise_dir = tmp_path / "noise"
@@ -332,6 +380,27 @@ def test_run_command_validate_only(tmp_path, capsys):
     )
     assert run_cli("run", "--config", str(cfg), "--stages", "none") == 0
     assert "config valid" in capsys.readouterr().out
+
+
+def test_run_refuses_zero_training_steps_before_any_stage(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    model = out_dir / "model" / "params.bin"
+    model.parent.mkdir(parents=True)
+    model.write_bytes(b"earlier model")
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(
+        "[paths]\n"
+        f"corpus_dir = {tmp_path / 'corpus'}\n"
+        f"out_dir = {out_dir}\n"
+        "[synthesis]\n"
+        "transcript = ni hao\n"
+        "seed = 1\n"
+        "[train]\n"
+        "steps = 0\n"
+    )
+    assert run_cli("run", "--config", str(cfg), "--stages", "train") == 2
+    assert "train.steps" in capsys.readouterr().err
+    assert model.read_bytes() == b"earlier model"
 
 
 def test_run_command_executes_stages(tmp_path, capsys):

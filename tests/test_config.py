@@ -130,6 +130,21 @@ def test_type_error_names_line_and_key():
         validate_config(text)
 
 
+@pytest.mark.parametrize(
+    "key, raw", [("steps", "0"), ("steps", "-3"), ("learn_rate", "-0.1"),
+                 ("learn_rate", "nan"), ("learn_rate", "inf")]
+)
+def test_train_values_out_of_range_name_line_and_key(key, raw):
+    text = MINIMAL + f"[train]\n{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=f"line 9: bad value for train.{key}"):
+        validate_config(text)
+
+
+def test_smallest_train_values_accepted():
+    cfg = validate_config(MINIMAL + "[train]\nsteps = 1\nlearn_rate = 0\n")
+    assert (cfg.train_steps, cfg.learn_rate) == (1, 0.0)
+
+
 def test_bool_parsing():
     for raw, want in [("true", True), ("YES", True), ("1", True), ("false", False), ("No", False), ("0", False)]:
         text = MINIMAL + f"[features]\nspec_augment = {raw}\n"

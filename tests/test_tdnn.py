@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unitcat import tdnn
 from unitcat.tdnn import (
+    CHUNK_FRAMES,
     EMBED_DIM,
     FEAT_DIM,
     MIN_FRAMES,
@@ -248,7 +250,7 @@ def test_full_network_gradients_match_finite_differences():
     feats = _feats(20, seed=22)
     aam = AamParams()
     label = 1
-    _, grads = loss_and_grads(params, feats, label, aam)
+    _, grads = loss_and_grads(params, [(feats, label)], aam)
 
     eps = 1e-5
     rng = np.random.default_rng(23)
@@ -258,13 +260,89 @@ def test_full_network_gradients_match_finite_differences():
         for k in picks:
             orig = flat[k]
             flat[k] = orig + eps
-            up = loss_and_grads(params, feats, label, aam)[0]
+            up = loss_and_grads(params, [(feats, label)], aam)[0]
             flat[k] = orig - eps
-            down = loss_and_grads(params, feats, label, aam)[0]
+            down = loss_and_grads(params, [(feats, label)], aam)[0]
             flat[k] = orig
             fd = (up - down) / (2 * eps)
             an = grads[name].reshape(-1)[k]
             assert _fd_close(fd, an), (name, int(k), fd, an)
+
+
+def _rel_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def test_stacked_batch_equals_sum_of_single_utterances():
+    params = init_tdnn(TdnnConfig(num_classes=4), seed=24)
+    aam = AamParams()
+    # unequal lengths, one of exactly MIN_FRAMES, and more frames than one
+    # chunk holds (one utterance longer than a chunk on its own)
+    lengths = [MIN_FRAMES, 40, CHUNK_FRAMES - 30, 23, CHUNK_FRAMES + 10, 61, MIN_FRAMES]
+    batch = [(_feats(t, seed=100 + i), i % 4) for i, t in enumerate(lengths)]
+    assert sum(lengths) > 2 * CHUNK_FRAMES
+
+    loss, grads = loss_and_grads(params, batch, aam)
+    want_loss = 0.0
+    want = {name: np.zeros_like(t) for name, t in params.tensors.items()}
+    for feats, label in batch:
+        one_loss, one = loss_and_grads(params, [(feats, label)], aam)
+        want_loss += one_loss
+        for name, g in one.items():
+            want[name] += g
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert list(grads) == list(params.tensors)
+    for name in params.tensors:
+        assert _rel_err(grads[name], want[name]) <= 1e-12, name
+
+
+def test_stacked_batch_gradients_match_finite_differences():
+    params = init_tdnn(TdnnConfig(num_classes=3), seed=25)
+    batch = [(_feats(t, seed=t), label) for t, label in ((MIN_FRAMES, 0), (22, 2), (31, 1))]
+    aam = AamParams()
+    _, grads = loss_and_grads(params, batch, aam)
+
+    eps = 1e-5
+    rng = np.random.default_rng(26)
+    for name, tensor in params.tensors.items():
+        flat = tensor.reshape(-1)
+        for k in rng.choice(flat.size, size=min(6, flat.size), replace=False):
+            orig = flat[k]
+            flat[k] = orig + eps
+            up = loss_and_grads(params, batch, aam)[0]
+            flat[k] = orig - eps
+            down = loss_and_grads(params, batch, aam)[0]
+            flat[k] = orig
+            fd = (up - down) / (2 * eps)
+            an = grads[name].reshape(-1)[k]
+            assert _fd_close(fd, an), (name, int(k), fd, an)
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+@pytest.mark.parametrize(
+    "bad, match",
+    [(np.zeros((20, FEAT_DIM + 1)), "features"), (np.zeros((14, FEAT_DIM)), "at least 15")],
+)
+def test_bad_utterance_anywhere_is_refused_before_any_arithmetic(where, bad, match, monkeypatch):
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=27)
+    before = {name: t.copy() for name, t in params.tensors.items()}
+    # enough good frames ahead of the bad one to fill more than one chunk
+    batch = [(_feats(CHUNK_FRAMES // 2, seed=i), i % 2) for i in range(6)]
+    batch[where] = (bad, 0)
+    passes = []
+    monkeypatch.setattr(tdnn, "_add_chunk_grads", lambda *args: passes.append(args) or 0.0)
+    with pytest.raises(ValueError, match=match):
+        loss_and_grads(params, batch, AamParams())
+    with pytest.raises(ValueError, match=match):
+        train_step(params, batch, lr=0.1, aam=AamParams())
+    assert passes == []
+    for name, t in params.tensors.items():
+        assert np.array_equal(t, before[name])
+
+
+def test_loss_and_grads_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="empty"):
+        loss_and_grads(init_tdnn(TdnnConfig(num_classes=2), seed=28), [], AamParams())
 
 
 # --- training ----------------------------------------------------------------
@@ -316,6 +394,18 @@ def test_train_step_input_gates():
         train_step(params, [], lr=0.1, aam=AamParams())
     with pytest.raises(ValueError, match="lr"):
         train_step(params, _toy_batch(), lr=-0.1, aam=AamParams())
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lr"):
+            train_step(params, _toy_batch(), lr=lr, aam=AamParams())
+
+
+def test_train_step_leaves_its_input_params_unchanged():
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=35)
+    before = {name: t.copy() for name, t in params.tensors.items()}
+    updated, _ = train_step(params, _toy_batch(), lr=0.5, aam=AamParams())
+    for name, t in params.tensors.items():
+        assert np.array_equal(t, before[name])
+    assert not np.array_equal(updated.tensors["frame1.W"], params.tensors["frame1.W"])
 
 
 # --- transfer and persistence ---------------------------------------------------

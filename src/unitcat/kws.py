@@ -5,6 +5,14 @@ labels) probability matrices plus a label-list sidecar. A running mean
 smooths each label track, and the keyword confidence at frame j is the
 geometric mean, over keyword units, of each unit's maximum smoothed
 posterior within a trailing search window.
+
+An utterance's confidence is the max over its frames, computed in array
+passes: the trailing window max of every keyword column comes from
+doubling (after the step with shift s, row j holds the max over rows
+j-2s+1 .. j, and rows before s keep their prefix max), then one more
+shifted max covers the rest of the window. That is O(T log W) work for T
+frames and a W-frame window; confidence_at is the per-frame reference.
+Only the best frame's product is raised to the 1/units power.
 """
 
 from __future__ import annotations
@@ -99,6 +107,18 @@ def smooth_posteriors(p: PosteriorStream, smooth_window: int) -> PosteriorStream
     return PosteriorStream(smoothed, p.labels)
 
 
+def _keyword_columns(
+    smoothed: PosteriorStream, spec: KeywordSpec, exclude_first: bool
+) -> tuple[int, ...]:
+    indices = spec.label_indices[1:] if exclude_first else spec.label_indices
+    if not indices:
+        raise KwsError("excluding the first unit leaves no keyword units")
+    for k in indices:
+        if not 0 <= k < smoothed.probs.shape[1]:
+            raise KwsError(f"keyword label index {k} out of range")
+    return indices
+
+
 def confidence_at(
     smoothed: PosteriorStream, spec: KeywordSpec, frame: int, exclude_first: bool = False
 ) -> float:
@@ -110,16 +130,25 @@ def confidence_at(
     """
     if not 0 <= frame < smoothed.num_frames:
         raise KwsError(f"frame {frame} out of range for {smoothed.num_frames} frames")
-    indices = spec.label_indices[1:] if exclude_first else spec.label_indices
-    if not indices:
-        raise KwsError("excluding the first unit leaves no keyword units")
-    for k in indices:
-        if not 0 <= k < smoothed.probs.shape[1]:
-            raise KwsError(f"keyword label index {k} out of range")
+    indices = _keyword_columns(smoothed, spec, exclude_first)
     lo = max(0, frame - spec.search_window + 1)
     window = smoothed.probs[lo : frame + 1]
     maxima = np.asarray([float(np.max(window[:, k])) for k in indices])
     return float(np.prod(maxima) ** (1.0 / len(indices)))
+
+
+def _trailing_max(x: np.ndarray, window: int) -> np.ndarray:
+    """m[j] = max of rows max(0, j - window + 1) .. j, column-wise."""
+    m = x.copy()
+    window = min(window, len(x))
+    covered = 1
+    while 2 * covered <= window:
+        m[covered:] = np.maximum(m[covered:], m[:-covered])
+        covered *= 2
+    rest = window - covered
+    if rest:
+        m[rest:] = np.maximum(m[rest:], m[:-rest])
+    return m
 
 
 def utterance_confidence(
@@ -129,9 +158,10 @@ def utterance_confidence(
     if p.num_frames == 0:
         raise KwsError("empty posterior stream")
     smoothed = smooth_posteriors(p, spec.smooth_window)
-    return max(
-        confidence_at(smoothed, spec, j, exclude_first) for j in range(p.num_frames)
-    )
+    indices = _keyword_columns(smoothed, spec, exclude_first)
+    maxima = _trailing_max(smoothed.probs[:, list(indices)], spec.search_window)
+    # the root is monotone, so the best frame's root is the max of the roots
+    return float(np.max(np.prod(maxima, axis=1))) ** (1.0 / len(indices))
 
 
 def kws_roc(

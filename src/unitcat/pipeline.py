@@ -21,7 +21,14 @@ import numpy as np
 from .archive import ArchiveWriter, read_archive
 from .audio import Waveform, load_wav
 from .config import ConfigError, PipelineConfig
-from .corpus import UtteranceRecord, derive_vad, group_alignments, load_alignment, load_manifest
+from .corpus import (
+    DEFAULT_SILENCE_LABELS,
+    UtteranceRecord,
+    derive_vad,
+    group_alignments,
+    load_alignment,
+    load_manifest,
+)
 from .features import (
     FRAME_SHIFT_S,
     FRAME_WIDTH_S,
@@ -230,15 +237,17 @@ def featurize_corpus(
     ]
     alignments = group_alignments(load_alignment(alignment_path)) if alignment_path else None
     if alignments is not None:
+        # an utterance aligned only to silence would keep no frames
         unaligned = [
             rec.utterance_id
             for records, _ in manifests
             for rec in records
-            if rec.utterance_id not in alignments
+            if all(e.unit in DEFAULT_SILENCE_LABELS for e in alignments.get(rec.utterance_id, ()))
         ]
         if unaligned:
             raise ValueError(
-                f"{len(unaligned)} utterance(s) have no alignment entries: "
+                f"{len(unaligned)} utterance(s) have no alignment entries outside the "
+                f"silence labels ({', '.join(sorted(DEFAULT_SILENCE_LABELS))}): "
                 f"{', '.join(unaligned[:5])}"
             )
     utterances = frames = 0
@@ -333,6 +342,18 @@ def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -
     params = load_params(_require(params_path, "trained parameters"))
     _require(features_base.with_suffix(".tsv"), "feature archive")
     archive = read_archive(features_base)
+    feat_dim = params.config.feat_dim
+    unfit = [
+        f"{utt_id} ({len(feats)}x{feats.shape[1]})"
+        for utt_id, records in archive.items()
+        for feats in records
+        if len(feats) < MIN_FRAMES or feats.shape[1] != feat_dim
+    ]
+    if unfit:
+        raise ValueError(
+            f"extraction needs at least {MIN_FRAMES} frames of {feat_dim} features per "
+            f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
+        )
     count = 0
     with ArchiveWriter(out_base) as writer:
         for utt_id, records in archive.items():

@@ -4,7 +4,17 @@ The decision rule is fixed as accept iff score >= threshold, so
 FAR(t) = |{nontarget >= t}| / |nontarget| and FRR(t) = |{target < t}| /
 |target|. Rates are evaluated at every distinct score plus -inf/+inf
 sentinels; the equal-error rate interpolates linearly on that polyline,
-and the detection cost is minimized exactly over the same sweep.
+and the detection cost is minimized exactly over the same sweep. One
+sweep yields threshold, FAR and FRR arrays, and each metric is an array
+pass over them.
+
+Trials are scored block-wise: every id is resolved once to a row of one
+matrix of averaged embeddings whose row norms are computed once, and the
+trials are scored SCORE_BLOCK at a time by gathering their enroll and test
+rows. Gathering every trial at once would hold two (trials x dim) copies.
+Row dot products go through matmul's vector-vector kernel, the one that
+1-D ``a @ b`` and ``np.linalg.norm`` use, so a score is computed as
+cosine_score computes it.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import numpy as np
 from .tdnn import average_embeddings
 
 DEFAULT_P_TARGET = 0.01
+SCORE_BLOCK = 1024
 
 
 class ScoringError(ValueError):
@@ -76,9 +87,9 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def sweep_rates(s: ScoreSet) -> list[tuple[float, float, float]]:
-    """(threshold, FAR, FRR) at all distinct scores and both sentinels,
-    thresholds ascending."""
+def _sweep(s: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(thresholds, FAR, FRR) arrays at all distinct scores and both
+    sentinels, thresholds ascending."""
     targets, nontargets = s.split()
     t_sorted = np.sort(targets)
     nt_sorted = np.sort(nontargets)
@@ -89,30 +100,68 @@ def sweep_rates(s: ScoreSet) -> list[tuple[float, float, float]]:
         nt_sorted
     )
     frr = np.searchsorted(t_sorted, thresholds, side="left") / len(t_sorted)
-    return [(float(t), float(fa), float(fr)) for t, fa, fr in zip(thresholds, far, frr)]
+    return thresholds, far, frr
+
+
+def _points(
+    thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray
+) -> list[tuple[float, float, float]]:
+    return list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
+
+
+def sweep_rates(s: ScoreSet) -> list[tuple[float, float, float]]:
+    """(threshold, FAR, FRR) at all distinct scores and both sentinels,
+    thresholds ascending."""
+    return _points(*_sweep(s))
+
+
+def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
+    # d starts at +1 and ends at -1; the first segment with d0 >= 0 >= d1
+    # holds the crossing
+    d = far - frr
+    crossings = np.flatnonzero((d[:-1] >= 0) & (d[1:] <= 0))
+    if len(crossings) == 0:
+        raise ScoringError("no FAR/FRR crossing found")  # unreachable for valid sets
+    k = int(crossings[0])
+    t0, t1 = float(thresholds[k]), float(thresholds[k + 1])
+    far0, far1, frr0 = float(far[k]), float(far[k + 1]), float(frr[k])
+    d0, d1 = float(d[k]), float(d[k + 1])
+    if d0 == d1 == 0.0:
+        return frr0, t0
+    alpha = d0 / (d0 - d1)
+    eer = far0 + alpha * (far1 - far0)
+    if math.isinf(t0) or math.isinf(t1):
+        threshold = t1 if math.isinf(t0) else t0
+    else:
+        threshold = t0 + alpha * (t1 - t0)
+    return float(eer), float(threshold)
 
 
 def compute_eer(s: ScoreSet) -> tuple[float, float]:
     """Equal-error rate and its threshold, interpolating between sweep
     points where FAR - FRR changes sign."""
-    points = sweep_rates(s)
-    for (t0, far0, frr0), (t1, far1, frr1) in zip(points, points[1:]):
-        d0 = far0 - frr0
-        d1 = far1 - frr1
-        if d0 < 0:  # crossing is before this segment; d starts at +1
-            continue
-        if d1 > 0:
-            continue
-        if d0 == d1 == 0.0:
-            return frr0, t0
-        alpha = d0 / (d0 - d1)
-        eer = far0 + alpha * (far1 - far0)
-        if math.isinf(t0) or math.isinf(t1):
-            threshold = t1 if math.isinf(t0) else t0
-        else:
-            threshold = t0 + alpha * (t1 - t0)
-        return float(eer), float(threshold)
-    raise ScoringError("no FAR/FRR crossing found")  # unreachable for valid sets
+    return _eer(*_sweep(s))
+
+
+def _check_dcf_params(p_target: float, c_miss: float, c_fa: float) -> None:
+    if not 0.0 < p_target < 1.0:
+        raise ScoringError(f"p_target must be in (0, 1), got {p_target}")
+    if c_miss <= 0 or c_fa <= 0:
+        raise ScoringError("costs must be positive")
+
+
+def _min_dcf(
+    thresholds: np.ndarray,
+    far: np.ndarray,
+    frr: np.ndarray,
+    p_target: float,
+    c_miss: float,
+    c_fa: float,
+) -> tuple[float, float]:
+    cost = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
+    k = int(np.argmin(cost))  # the first minimum: ties keep the lowest threshold
+    normalizer = min(c_miss * p_target, c_fa * (1.0 - p_target))
+    return float(cost[k] / normalizer), float(thresholds[k])
 
 
 def compute_min_dcf(
@@ -126,19 +175,8 @@ def compute_min_dcf(
     DCF(t) = c_miss*p_target*FRR(t) + c_fa*(1-p_target)*FAR(t), divided by
     the best uninformed-decision cost; ties keep the lowest threshold.
     """
-    if not 0.0 < p_target < 1.0:
-        raise ScoringError(f"p_target must be in (0, 1), got {p_target}")
-    if c_miss <= 0 or c_fa <= 0:
-        raise ScoringError("costs must be positive")
-    best_cost = math.inf
-    best_threshold = -math.inf
-    for threshold, far, frr in sweep_rates(s):
-        cost = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
-        if cost < best_cost:
-            best_cost = cost
-            best_threshold = threshold
-    normalizer = min(c_miss * p_target, c_fa * (1.0 - p_target))
-    return float(best_cost / normalizer), float(best_threshold)
+    _check_dcf_params(p_target, c_miss, c_fa)
+    return _min_dcf(*_sweep(s), p_target, c_miss, c_fa)
 
 
 def compute_det_metrics(
@@ -147,9 +185,16 @@ def compute_det_metrics(
     c_miss: float = 1.0,
     c_fa: float = 1.0,
 ) -> DetMetrics:
-    eer, eer_t = compute_eer(s)
-    dcf, dcf_t = compute_min_dcf(s, p_target, c_miss, c_fa)
-    return DetMetrics(eer, eer_t, dcf, dcf_t, sweep_rates(s))
+    sweep = _sweep(s)
+    eer, eer_t = _eer(*sweep)
+    _check_dcf_params(p_target, c_miss, c_fa)
+    dcf, dcf_t = _min_dcf(*sweep, p_target, c_miss, c_fa)
+    return DetMetrics(eer, eer_t, dcf, dcf_t, _points(*sweep))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i, each by the kernel of a 1-D a @ b."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def score_trials(
@@ -157,24 +202,44 @@ def score_trials(
 ) -> ScoreSet:
     """One cosine score per trial; ids with several records (one per
     channel) are represented by their averaged embedding."""
-    vectors: dict[str, np.ndarray] = {}
-
-    def resolve(utt_id: str, lineno: int) -> np.ndarray:
-        if utt_id not in vectors:
-            records = embeddings.get(utt_id)
-            if not records:
-                raise ScoringError(f"trial {lineno}: no embedding for id {utt_id!r}")
-            vectors[utt_id] = average_embeddings([r.reshape(-1) for r in records])
-        return vectors[utt_id]
-
-    scores = []
-    labels = []
+    row_of: dict[str, int] = {}
+    vectors: list[np.ndarray] = []
+    pairs = np.empty((len(trials), 2), dtype=np.intp)
     for i, trial in enumerate(trials, start=1):
-        a = resolve(trial.enroll_id, i)
-        b = resolve(trial.test_id, i)
-        scores.append(cosine_score(a, b))
-        labels.append(trial.is_target)
-    return ScoreSet(np.asarray(scores), np.asarray(labels))
+        for side, utt_id in enumerate((trial.enroll_id, trial.test_id)):
+            row = row_of.get(utt_id)
+            if row is None:
+                records = embeddings.get(utt_id)
+                if not records:
+                    raise ScoringError(f"trial {i}: no embedding for id {utt_id!r}")
+                vector = average_embeddings([r.reshape(-1) for r in records])
+                if vectors and len(vector) != len(vectors[0]):
+                    raise ScoringError(
+                        f"trial {i}: id {utt_id!r} has a {len(vector)}-dim embedding, "
+                        f"others have {len(vectors[0])}"
+                    )
+                row = row_of[utt_id] = len(vectors)
+                vectors.append(vector)
+            pairs[i - 1, side] = row
+    matrix = np.stack(vectors) if vectors else np.empty((0, 0))
+    norms = np.sqrt(_row_dots(matrix, matrix))
+    zero = np.flatnonzero(norms == 0.0)
+    if len(zero):
+        # rows are numbered in order of first use, so zero[0] fails first
+        utt_id = list(row_of)[zero[0]]
+        lineno = int(np.flatnonzero((pairs == zero[0]).any(axis=1))[0]) + 1
+        raise ScoringError(
+            f"trial {lineno}: id {utt_id!r} has a zero-norm embedding; "
+            "cosine of a zero-norm vector is undefined"
+        )
+    scores = np.empty(len(trials))
+    for lo in range(0, len(trials), SCORE_BLOCK):
+        block = slice(lo, lo + SCORE_BLOCK)
+        enroll, test = pairs[block, 0], pairs[block, 1]
+        dots = _row_dots(matrix[enroll], matrix[test])
+        np.clip(dots / (norms[enroll] * norms[test]), -1.0, 1.0, out=scores[block])
+    labels = np.fromiter((t.is_target for t in trials), dtype=bool, count=len(trials))
+    return ScoreSet(scores, labels)
 
 
 # --- text formats ---------------------------------------------------------

@@ -206,6 +206,54 @@ def test_featurize_refuses_utterances_without_alignments(cli_workspace, tmp_path
     assert not out.with_suffix(".bin").exists()
 
 
+
+def test_featurize_refuses_utterances_aligned_only_to_silence(cli_workspace, tmp_path, capsys):
+    _, corpus, _, _, _ = cli_workspace
+    ali = tmp_path / "ali.ctm"
+    lines = []
+    for line in (corpus / "ali.ctm").read_text().splitlines(keepends=True):
+        fields = line.split()
+        if fields[0] == "spk1-src-001":
+            line = " ".join(fields[:-1] + ["sil"]) + "\n"
+        lines.append(line)
+    ali.write_text("".join(lines))
+    out = tmp_path / "vad"
+    code = run_cli(
+        "featurize", "--manifest", str(corpus / "manifest.tsv"), "--out", str(out),
+        "--ali", str(ali),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no alignment entries outside the silence labels" in err
+    assert "spk1-src-001" in err
+    assert not out.with_suffix(".tsv").exists()
+    assert not out.with_suffix(".bin").exists()
+
+
+def test_extract_names_records_too_short_to_embed(cli_workspace, tmp_path, capsys):
+    _, _, _, synth, feats = cli_workspace
+    params = tmp_path / "params.bin"
+    assert run_cli(
+        "train-toy", "--features", str(feats), "--manifest", str(synth / "manifest.tsv"),
+        "--out", str(params), "--steps", "1",
+    ) == 0
+    records = read_archive(feats)
+    ids = list(records)
+    short = tmp_path / "short"
+    write_archive(
+        short,
+        [(utt, np.zeros((0, 40), np.float32) if utt == ids[-1] else recs[0])
+         for utt, recs in records.items()],
+    )
+    out = tmp_path / "emb"
+    code = run_cli(
+        "extract", "--params", str(params), "--features", str(short), "--out", str(out),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{ids[-1]} (0x40)" in err and "at least 15 frames" in err
+    assert not out.with_suffix(".tsv").exists()
+
 def test_train_toy_with_zero_steps_exits_2(cli_workspace, tmp_path, capsys):
     _, _, _, synth, feats = cli_workspace
     params = tmp_path / "params.bin"

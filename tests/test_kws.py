@@ -188,6 +188,31 @@ def test_utterance_confidence_empty_stream():
         utterance_confidence(p, spec)
 
 
+@pytest.mark.parametrize(
+    "frames, smooth, search",
+    [(1, 1, 1), (1, 5, 100), (7, 1, 1), (40, 3, 1), (40, 3, 40), (40, 3, 41),
+     (40, 50, 7), (40, 50, 1000), (37, 4, 5), (64, 2, 16), (100, 30, 100)],
+)
+@pytest.mark.parametrize("exclude_first", [False, True])
+def test_utterance_confidence_equals_max_of_per_frame_confidences(
+    frames, smooth, search, exclude_first
+):
+    rng = np.random.default_rng(frames * 1000 + smooth * 10 + search)
+    p = PosteriorStream(rng.dirichlet(np.full(len(LABELS), 0.3), size=frames), LABELS)
+    spec = KeywordSpec((1, 2, 4), smooth_window=smooth, search_window=search)
+    smoothed = smooth_posteriors(p, smooth)
+    want = max(confidence_at(smoothed, spec, j, exclude_first) for j in range(frames))
+    assert abs(utterance_confidence(p, spec, exclude_first) - want) <= 1e-12
+
+
+def test_utterance_confidence_keeps_the_unit_checks():
+    p = _stream({"ni": [0.5, 0.5]})
+    with pytest.raises(KwsError, match="index"):
+        utterance_confidence(p, KeywordSpec((9,), smooth_window=1, search_window=5))
+    with pytest.raises(KwsError, match="leaves no"):
+        utterance_confidence(p, KeywordSpec((1,)), exclude_first=True)
+
+
 @settings(max_examples=50)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 30))
 def test_confidence_monotone_under_posterior_boosts(seed, frames):

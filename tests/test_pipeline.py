@@ -282,3 +282,17 @@ def test_extract_embeds_every_record_of_an_id(tmp_path):
     embeddings = read_archive(tmp_path / "emb")
     assert [len(embeddings["a"]), len(embeddings["b"])] == [2, 1]
     assert not np.array_equal(embeddings["a"][0], embeddings["a"][1])
+
+
+def test_extract_checks_every_record_before_embedding_any(tmp_path):
+    rng = np.random.default_rng(4)
+    write_archive(
+        tmp_path / "feats",
+        [("a", rng.standard_normal((30, 40)).astype(np.float32)),
+         ("b", rng.standard_normal((30, 24)).astype(np.float32)),
+         ("c", rng.standard_normal((14, 40)).astype(np.float32))],
+    )
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+    with pytest.raises(ValueError, match=r"2 differ: b \(30x24\), c \(14x40\)"):
+        extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
+    assert not (tmp_path / "emb.tsv").exists()

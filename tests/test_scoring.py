@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitcat.scoring import (
+    SCORE_BLOCK,
     ScoreSet,
     ScoringError,
     Trial,
@@ -21,6 +22,7 @@ from unitcat.scoring import (
     score_trials,
     sweep_rates,
 )
+from unitcat.tdnn import average_embeddings
 
 WORKED = ScoreSet(
     np.array([0.9, 0.7, 0.6, 0.2, 0.8, 0.3, 0.1, 0.05]),
@@ -305,6 +307,106 @@ def test_score_trials_empty():
     s = score_trials([], {})
     assert len(s) == 0
 
+
+
+def test_score_trials_matches_cosine_score_across_blocks():
+    rng = np.random.default_rng(11)
+    emb = {
+        f"u{i}": [rng.standard_normal((1, 16)) for _ in range(1 + i % 3)] for i in range(50)
+    }
+    ids = list(emb)
+    n = 2 * SCORE_BLOCK + 37
+    trials = [
+        Trial(ids[rng.integers(50)], ids[rng.integers(50)], bool(rng.integers(2)))
+        for _ in range(n)
+    ]
+    s = score_trials(trials, emb)
+    averaged = {u: average_embeddings([r.reshape(-1) for r in recs]) for u, recs in emb.items()}
+    want = [cosine_score(averaged[t.enroll_id], averaged[t.test_id]) for t in trials]
+    assert np.max(np.abs(s.scores - np.asarray(want))) <= 1e-12
+    assert s.is_target.tolist() == [t.is_target for t in trials]
+
+
+def test_score_trials_missing_id_in_a_later_block_names_its_trial():
+    emb = {"a": [np.array([1.0, 0.0])], "b": [np.array([0.0, 1.0])]}
+    trials = [Trial("a", "b", False)] * (SCORE_BLOCK + 5) + [Trial("b", "ghost", False)]
+    with pytest.raises(ScoringError, match=f"trial {SCORE_BLOCK + 6}: no embedding for id 'ghost'"):
+        score_trials(trials, emb)
+
+
+def test_score_trials_zero_norm_names_id_and_first_trial():
+    emb = {
+        "a": [np.array([1.0, 0.0])],
+        "b": [np.array([0.0, 1.0])],
+        # two records that cancel: the averaged embedding is zero
+        "flat": [np.array([1.0, -1.0]), np.array([-1.0, 1.0])],
+    }
+    trials = [Trial("a", "b", False), Trial("b", "a", False), Trial("a", "flat", True)]
+    with pytest.raises(ScoringError, match="trial 3: id 'flat' has a zero-norm embedding"):
+        score_trials(trials + [Trial("flat", "b", False)], emb)
+
+
+def test_score_trials_names_an_embedding_of_another_width():
+    emb = {"a": [np.ones(4)], "b": [np.ones(4)], "short": [np.ones(3)]}
+    message = "trial 2: id 'short' has a 3-dim embedding, others have 4"
+    with pytest.raises(ScoringError, match=message):
+        score_trials([Trial("a", "b", True), Trial("short", "a", False)], emb)
+
+
+def _brute_force_det(scores, labels, p_target):
+    """Per-threshold loop over directly counted rates: the sweep, the EER
+    with its threshold, and the first minimum-cost threshold."""
+    targets = [s for s, keep in zip(scores, labels) if keep]
+    nontargets = [s for s, keep in zip(scores, labels) if not keep]
+    roc = []
+    for t in [-math.inf, *sorted(set(scores)), math.inf]:
+        far = sum(1 for s in nontargets if s >= t) / len(nontargets)
+        frr = sum(1 for s in targets if s < t) / len(targets)
+        roc.append((t, far, frr))
+    eer = None
+    for (t0, far0, frr0), (t1, far1, frr1) in zip(roc, roc[1:]):
+        d0, d1 = far0 - frr0, far1 - frr1
+        if d0 >= 0 >= d1:
+            if d0 == d1 == 0.0:
+                eer = (frr0, t0)
+            else:
+                alpha = d0 / (d0 - d1)
+                if math.isinf(t0) or math.isinf(t1):
+                    threshold = t1 if math.isinf(t0) else t0
+                else:
+                    threshold = t0 + alpha * (t1 - t0)
+                eer = (far0 + alpha * (far1 - far0), threshold)
+            break
+    costs = [p_target * frr + (1.0 - p_target) * far for _, far, frr in roc]
+    best = min(costs)
+    first = costs.index(best)
+    dcf = (best / min(p_target, 1.0 - p_target), roc[first][0])
+    return roc, eer, dcf, costs.count(best) > 1
+
+
+def test_det_arrays_match_brute_force_loop_with_tied_scores_and_costs():
+    rng = np.random.default_rng(12)
+    tied_costs = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        scores = np.round(rng.normal(size=n), 1)  # coarse rounding forces ties
+        labels = np.zeros(n, dtype=bool)
+        labels[: n // 2] = True
+        rng.shuffle(labels)
+        if labels.all() or not labels.any():
+            labels[0], labels[-1] = True, False
+        p_target = 0.5 if trial % 2 else 0.01  # 0.5 weighs FAR and FRR alike: tied costs
+        roc, eer, dcf, tied = _brute_force_det(scores.tolist(), labels.tolist(), p_target)
+        tied_costs += tied
+        s = ScoreSet(scores, labels)
+        assert sweep_rates(s) == roc
+        assert compute_eer(s) == pytest.approx(eer, abs=1e-12)
+        assert compute_min_dcf(s, p_target) == pytest.approx(dcf, abs=1e-12)
+        m = compute_det_metrics(s, p_target)
+        assert (m.eer, m.eer_threshold) == compute_eer(s)
+        assert (m.min_dcf, m.dcf_threshold) == compute_min_dcf(s, p_target)
+        assert m.roc == roc
+    assert tied_costs >= 20
 
 # --- text formats ---------------------------------------------------------------
 

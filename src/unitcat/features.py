@@ -7,6 +7,7 @@ with a 10 ms shift and 25 ms window; files store them as float32.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +65,19 @@ def mel_filterbank(
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _fbank_tables(sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Hamming window, mel filterbank) for one sample rate, built on first
+    use and shared read-only by every later call."""
+    win, _ = frame_sizes(sample_rate)
+    nfft = 1 << (win - 1).bit_length()
+    window = np.hamming(win)
+    fb = mel_filterbank(NUM_FILTERS, nfft, sample_rate, MEL_LOW_HZ, sample_rate / 2)
+    window.setflags(write=False)
+    fb.setflags(write=False)
+    return window, fb
+
+
 def compute_fbank(w: Waveform) -> np.ndarray:
     """Log mel-filterbank energies, one row per frame.
 
@@ -78,15 +92,20 @@ def compute_fbank(w: Waveform) -> np.ndarray:
     x = w.mono().astype(np.float64)
     num_frames = frame_count(len(x), win, shift)
     nfft = 1 << (win - 1).bit_length()
+    window, fb = _fbank_tables(w.sample_rate)
 
-    idx = shift * np.arange(num_frames)[:, None] + np.arange(win)[None, :]
-    frames = x[idx]
-    emphasized = frames.copy()
-    emphasized[:, 1:] -= PRE_EMPHASIS * frames[:, :-1]
-    emphasized[:, 0] -= PRE_EMPHASIS * frames[:, 0]
-    spectrum = np.fft.rfft(emphasized * np.hamming(win), nfft, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
-    fb = mel_filterbank(NUM_FILTERS, nfft, w.sample_rate, MEL_LOW_HZ, w.sample_rate / 2)
+    # Emphasize the signal once; inside a frame, sample j > 0 is y[start + j].
+    y = x.copy()
+    y[1:] -= PRE_EMPHASIS * x[:-1]
+    padded = np.zeros((num_frames, nfft))
+    frames = np.lib.stride_tricks.sliding_window_view(y, win)[::shift]
+    np.multiply(frames, window, out=padded[:, :win])
+    # a frame's first sample is emphasized against itself, not its predecessor
+    first = x[::shift][:num_frames]
+    padded[:, 0] = (first - PRE_EMPHASIS * first) * window[0]
+    spectrum = np.fft.rfft(padded, axis=1)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
     return np.log(np.maximum(power @ fb.T, ENERGY_FLOOR))
 
 

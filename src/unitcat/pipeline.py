@@ -267,6 +267,13 @@ def featurize_corpus(
                         frame_count(wav.num_samples, win, shift),
                     )
                     feats = apply_vad_filter(feats, vad)
+                    if not len(feats):
+                        # known only now: the check above reads labels, not audio lengths
+                        raise ValueError(
+                            f"utterance {rec.utterance_id!r}: no frame of its "
+                            f"{wav.duration:.2f} s of audio lies inside a non-silence "
+                            "alignment entry"
+                        )
                 feats = sliding_mean_normalize(feats, cmn_window)
                 plain.add(rec.utterance_id, feats)
                 if masked is not None:

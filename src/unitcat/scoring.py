@@ -212,6 +212,12 @@ def score_trials(
                 records = embeddings.get(utt_id)
                 if not records:
                     raise ScoringError(f"trial {i}: no embedding for id {utt_id!r}")
+                widths = sorted({r.size for r in records})
+                if len(widths) > 1:
+                    raise ScoringError(
+                        f"trial {i}: id {utt_id!r} has records of different widths "
+                        f"({', '.join(map(str, widths))}), which cannot be averaged"
+                    )
                 vector = average_embeddings([r.reshape(-1) for r in records])
                 if vectors and len(vector) != len(vectors[0]):
                     raise ScoringError(

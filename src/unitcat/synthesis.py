@@ -226,8 +226,19 @@ def _convolve_rir_core(speech: Waveform, rir: np.ndarray) -> tuple[Waveform, int
     if float(np.max(np.abs(kernel))) == 0.0:
         raise AugmentError("rir has zero peak")
     s = _mono_float(speech, "speech")
-    # direct-form linear convolution, truncated to the input length
-    out = np.convolve(s, kernel)[: len(s)]
+    # taps past the speech's length never reach the kept outputs
+    kernel = kernel[: len(s)]
+    # The kept outputs are exactly zero iff the first nonzero speech sample
+    # and the first nonzero tap lie len(s) or more apart. Test that here:
+    # the FFT's round-off would leave ~1e-16 noise in place of the zeros.
+    nonzero_s, nonzero_k = np.flatnonzero(s), np.flatnonzero(kernel)
+    if not len(nonzero_s) or not len(nonzero_k) or nonzero_s[0] + nonzero_k[0] >= len(s):
+        raise AugmentError("convolved signal has zero peak, cannot renormalize")
+    # linear convolution as an FFT product long enough that nothing wraps
+    # around, truncated to the input length
+    size = len(s) + len(kernel) - 1
+    n = 1 << (size - 1).bit_length()
+    out = np.fft.irfft(np.fft.rfft(s, n) * np.fft.rfft(kernel, n), n)[: len(s)]
     out_peak = float(np.max(np.abs(out)))
     if out_peak == 0.0:
         raise AugmentError("convolved signal has zero peak, cannot renormalize")
@@ -270,14 +281,16 @@ def augment_corpus(
     """
     audio_root = Path(audio_root)
     out_dir = Path(out_dir)
+    noises = [load_wav(p) for p in noise_paths] if noise_paths and snr_list else []
+    kernels = [load_wav(p).mono().astype(np.float64) / 32768.0 for p in rir_paths or ()]
     out_records: list[UtteranceRecord] = []
     report: list[AugmentationRow] = []
     for rec in records:
         speech = load_wav(audio_root / rec.audio_path)
-        if noise_paths and snr_list:
+        if noises:
             for snr in snr_list:
                 pick_rng = SplitMix64(derive_seed(seed, "noise-pick", rec.utterance_id, str(snr)))
-                noise = load_wav(noise_paths[pick_rng.next_below(len(noise_paths))])
+                noise = noises[pick_rng.next_below(len(noises))]
                 mix_seed = derive_seed(seed, "noise-mix", rec.utterance_id, str(snr))
                 mixed, clipped = _mix_noise_core(speech, noise, snr, mix_seed)
                 new_id = f"{rec.utterance_id}-noise{snr:g}"
@@ -287,10 +300,9 @@ def augment_corpus(
                     UtteranceRecord(new_id, rec.speaker_id, rec.transcript, path)
                 )
                 report.append(AugmentationRow(new_id, "noise", snr, clipped))
-        if rir_paths:
+        if kernels:
             pick_rng = SplitMix64(derive_seed(seed, "rir-pick", rec.utterance_id))
-            rir_wav = load_wav(rir_paths[pick_rng.next_below(len(rir_paths))])
-            kernel = rir_wav.mono().astype(np.float64) / 32768.0
+            kernel = kernels[pick_rng.next_below(len(kernels))]
             reverbed, clipped = _convolve_rir_core(speech, kernel)
             new_id = f"{rec.utterance_id}-reverb"
             path = f"wav/{new_id}.wav"

@@ -230,6 +230,25 @@ def test_featurize_refuses_utterances_aligned_only_to_silence(cli_workspace, tmp
     assert not out.with_suffix(".bin").exists()
 
 
+def test_featurize_refuses_utterances_aligned_past_their_audio(cli_workspace, tmp_path, capsys):
+    _, corpus, _, _, _ = cli_workspace
+    ali = tmp_path / "ali.ctm"
+    lines = []
+    for line in (corpus / "ali.ctm").read_text().splitlines(keepends=True):
+        utt, channel, start, duration, unit = line.split()
+        if utt == "spk1-src-001" and unit != "sil":
+            line = f"{utt} {channel} {float(start) + 100:.2f} {duration} {unit}\n"
+        lines.append(line)
+    ali.write_text("".join(lines))
+    code = run_cli(
+        "featurize", "--manifest", str(corpus / "manifest.tsv"), "--out", str(tmp_path / "vad"),
+        "--ali", str(ali),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'spk1-src-001'" in err and "non-silence alignment entry" in err
+
+
 def test_extract_names_records_too_short_to_embed(cli_workspace, tmp_path, capsys):
     _, _, _, synth, feats = cli_workspace
     params = tmp_path / "params.bin"

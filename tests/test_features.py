@@ -7,7 +7,10 @@ from unitcat.corpus import VadLabels
 from unitcat.features import (
     CMN_WINDOW,
     ENERGY_FLOOR,
+    MEL_LOW_HZ,
     NUM_FILTERS,
+    PRE_EMPHASIS,
+    _fbank_tables,
     SpecAugmentParams,
     apply_vad_filter,
     compute_fbank,
@@ -105,6 +108,52 @@ def test_fbank_tone_peaks_at_matching_filter():
     got = int(np.argmax(f.mean(axis=0)))
     assert abs(got - want) <= 1
     assert bin_hz[int(round(freq / (rate / 512)))] == pytest.approx(freq, abs=16)
+
+
+def _reference_fbank(w):
+    """The recipe one frame at a time, each table built afresh."""
+    win, shift = frame_sizes(w.sample_rate)
+    x = w.mono().astype(np.float64)
+    nfft = 1 << (win - 1).bit_length()
+    fb = mel_filterbank(NUM_FILTERS, nfft, w.sample_rate, MEL_LOW_HZ, w.sample_rate / 2)
+    rows = []
+    for t in range(frame_count(len(x), win, shift)):
+        frame = x[t * shift : t * shift + win]
+        emphasized = frame.copy()
+        emphasized[1:] -= PRE_EMPHASIS * frame[:-1]
+        emphasized[0] -= PRE_EMPHASIS * frame[0]
+        spectrum = np.fft.rfft(emphasized * np.hamming(win), nfft)
+        rows.append(spectrum.real**2 + spectrum.imag**2)
+    return np.log(np.maximum(np.array(rows) @ fb.T, ENERGY_FLOOR))
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+def test_fbank_equals_the_per_frame_reference(rate):
+    win, shift = frame_sizes(rate)
+    rng = np.random.default_rng(rate)
+    for n in (win, win + shift - 1, 3 * rate + 17):
+        w = Waveform(rng.integers(-32768, 32768, size=n).astype(np.int16), rate)
+        assert np.array_equal(compute_fbank(w), _reference_fbank(w))
+    silent = Waveform(np.zeros(win + 2 * shift, dtype=np.int16), rate)
+    floor = compute_fbank(silent)
+    assert np.array_equal(floor, _reference_fbank(silent))
+    assert np.all(floor == np.log(ENERGY_FLOOR))
+
+
+def test_fbank_tables_are_cached_read_only_and_left_unchanged():
+    window, fb = _fbank_tables(16000)
+    before = window.copy(), fb.copy()
+    compute_fbank(_tone(16000))
+    compute_fbank(_tone(8000))
+    again = _fbank_tables(16000)
+    assert again[0] is window and again[1] is fb
+    assert np.array_equal(window, before[0]) and np.array_equal(fb, before[1])
+    assert np.array_equal(window, np.hamming(400))
+    assert np.array_equal(fb, mel_filterbank(NUM_FILTERS, 512, 16000, MEL_LOW_HZ, 8000.0))
+    for table in (window, fb):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_fbank_rejects_stereo():

@@ -353,6 +353,13 @@ def test_score_trials_names_an_embedding_of_another_width():
         score_trials([Trial("a", "b", True), Trial("short", "a", False)], emb)
 
 
+def test_score_trials_names_an_id_whose_records_differ_in_width():
+    emb = {"b": [np.ones(4)], "a": [np.ones(4), np.ones(3)]}
+    message = r"trial 2: id 'a' has records of different widths \(3, 4\)"
+    with pytest.raises(ScoringError, match=message):
+        score_trials([Trial("b", "b", True), Trial("b", "a", False)], emb)
+
+
 def _brute_force_det(scores, labels, p_target):
     """Per-threshold loop over directly counted rates: the sweep, the EER
     with its threshold, and the first minimum-cost threshold."""

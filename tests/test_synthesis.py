@@ -280,7 +280,93 @@ def test_convolve_rir_error_gates():
         convolve_rir(w, np.zeros(3))
 
 
+def _direct_reverb(samples, kernel):
+    """convolve_rir's renormalization and rounding over np.convolve."""
+    s = samples.astype(np.float64)
+    out = np.convolve(s, kernel)[: len(s)]
+    out *= np.max(np.abs(s)) / np.max(np.abs(out))
+    return np.clip(np.rint(out), -32768, 32767).astype(np.int16)
+
+
+@pytest.mark.parametrize(
+    "speech_len, taps",
+    [
+        (16000, 2000),  # a second of speech through a 2000-tap room
+        (300, 1000),  # kernel longer than the speech
+        (1000, 25),  # len(s) + len(k) - 1 == 1024, exactly a power of two
+    ],
+)
+def test_convolve_rir_matches_direct_convolution_within_one_lsb(speech_len, taps):
+    rng = np.random.default_rng(speech_len + taps)
+    speech = rng.integers(-20000, 20000, size=speech_len, dtype=np.int16)
+    decay = np.exp(-np.arange(taps) / (taps / 6))
+    rir = np.round(rng.standard_normal(taps) * decay * 6000).astype(np.int16)
+    rir[0] = 32767
+    kernel = rir.astype(np.float64) / 32768.0
+    out = convolve_rir(Waveform(speech, 16000), kernel).samples[0]
+    want = _direct_reverb(speech, kernel)
+    assert len(out) == speech_len
+    assert np.max(np.abs(out.astype(np.int32) - want)) <= 1
+
+
+def test_convolve_rir_zero_peak_when_the_delay_passes_the_speech():
+    # every kept output is exactly zero, so there is no peak to renormalize by
+    w = Waveform(np.array([0, 0, 5000], dtype=np.int16), 16000)
+    for kernel in ([0.0, 1.0], [0.0, 0.0, 0.0, 0.5, 1.0]):
+        with pytest.raises(AugmentError, match="zero peak"):
+            convolve_rir(w, np.array(kernel))
+    # an FFT product leaves ~1e-11 of round-off here where np.convolve gives 0
+    rng = np.random.default_rng(0)
+    late = np.zeros(1000, dtype=np.int16)
+    late[900:] = rng.integers(-3000, 3000, size=100)
+    delayed = np.concatenate([np.zeros(100), rng.standard_normal(1000)])
+    with pytest.raises(AugmentError, match="zero peak"):
+        convolve_rir(Waveform(late, 16000), delayed)
+    silent = Waveform(np.zeros(50, dtype=np.int16), 16000)
+    with pytest.raises(AugmentError, match="zero peak"):
+        convolve_rir(silent, np.array([1.0, 0.5]))
+    # the last sample still reaches the output through a zero-delay tap
+    assert convolve_rir(w, np.array([0.5, 1.0])).samples[0].tolist() == [0, 0, 5000]
+
+
 # --- corpus-level augmentation ---------------------------------------------------
+
+
+def test_augment_corpus_loads_each_file_once(tmp_path, monkeypatch):
+    import unitcat.synthesis as synthesis
+    from unitcat.audio import save_wav
+    from unitcat.corpus import UtteranceRecord
+
+    rng = np.random.default_rng(1)
+
+    def wav_files(kind, count, size):
+        paths = [tmp_path / kind / f"{kind}{i}.wav" for i in range(count)]
+        for p in paths:
+            save_wav(p, Waveform(rng.integers(-3000, 3000, size=size, dtype=np.int16), 16000))
+        return paths
+
+    speech = wav_files("wav", 4, 800)
+    records = [
+        UtteranceRecord(p.stem, f"spk{i}", ("ni",), f"wav/{p.name}") for i, p in enumerate(speech)
+    ]
+    noise_paths, rir_paths = wav_files("noise", 3, 500), wav_files("rir", 2, 40)
+    loaded = []
+    real_load_wav = synthesis.load_wav
+
+    def counting_load_wav(path):
+        loaded.append(path)
+        return real_load_wav(path)
+
+    monkeypatch.setattr(synthesis, "load_wav", counting_load_wav)
+    out, _ = augment_corpus(
+        records, tmp_path, tmp_path / "aug", 5, noise_paths, [0.0, 5.0, 10.0], rir_paths
+    )
+    assert len(out) == 4 * 4
+    assert len(loaded) == len(records) + len(noise_paths) + len(rir_paths)
+    # without an SNR list the noise files are not in use and are not read
+    loaded.clear()
+    augment_corpus(records, tmp_path, tmp_path / "aug2", 5, noise_paths, None, rir_paths)
+    assert len(loaded) == len(records) + len(rir_paths)
 
 
 def test_augment_corpus_end_to_end(tmp_path):

@@ -1,125 +1,8 @@
 """unitcat: concatenative unit-selection data augmentation and
-speaker-verification evaluation toolkit."""
+speaker-verification evaluation toolkit.
 
-from .audio import Waveform, read_wav, write_wav, load_wav, save_wav
-from .corpus import (
-    AlignmentEntry,
-    UtteranceRecord,
-    VadLabels,
-    derive_vad,
-    parse_alignment,
-    format_alignment,
-    parse_manifest,
-    format_manifest,
-)
-from .segmentation import (
-    UnitLibrary,
-    UnitSegment,
-    build_library,
-    extract_segments,
-    library_stats,
-)
-from .synthesis import (
-    SynthesisPlan,
-    convolve_rir,
-    mix_noise,
-    plan_synthesis,
-    render,
-    synthesize_corpus,
-)
-from .features import (
-    SpecAugmentParams,
-    apply_vad_filter,
-    compute_fbank,
-    sliding_mean_normalize,
-    spec_augment,
-)
-from .tdnn import (
-    AamParams,
-    TdnnConfig,
-    TdnnParams,
-    aam_loss,
-    average_embeddings,
-    forward,
-    init_tdnn,
-    train_step,
-    transfer_init,
-)
-from .scoring import (
-    DetMetrics,
-    ScoreSet,
-    Trial,
-    compute_eer,
-    compute_min_dcf,
-    cosine_score,
-    score_trials,
-    sweep_rates,
-)
-from .kws import (
-    KeywordSpec,
-    PosteriorStream,
-    kws_roc,
-    smooth_posteriors,
-    utterance_confidence,
-)
-from .config import PipelineConfig, validate_config
-from .pipeline import run_pipeline
+The package root exports only ``__version__``; import names from the
+submodules (``from unitcat.pipeline import run_pipeline``).
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Waveform",
-    "read_wav",
-    "write_wav",
-    "load_wav",
-    "save_wav",
-    "AlignmentEntry",
-    "UtteranceRecord",
-    "VadLabels",
-    "derive_vad",
-    "parse_alignment",
-    "format_alignment",
-    "parse_manifest",
-    "format_manifest",
-    "UnitLibrary",
-    "UnitSegment",
-    "build_library",
-    "extract_segments",
-    "library_stats",
-    "SynthesisPlan",
-    "plan_synthesis",
-    "render",
-    "synthesize_corpus",
-    "mix_noise",
-    "convolve_rir",
-    "SpecAugmentParams",
-    "compute_fbank",
-    "apply_vad_filter",
-    "sliding_mean_normalize",
-    "spec_augment",
-    "AamParams",
-    "TdnnConfig",
-    "TdnnParams",
-    "init_tdnn",
-    "forward",
-    "aam_loss",
-    "train_step",
-    "transfer_init",
-    "average_embeddings",
-    "Trial",
-    "ScoreSet",
-    "DetMetrics",
-    "cosine_score",
-    "sweep_rates",
-    "compute_eer",
-    "compute_min_dcf",
-    "score_trials",
-    "KeywordSpec",
-    "PosteriorStream",
-    "smooth_posteriors",
-    "utterance_confidence",
-    "kws_roc",
-    "PipelineConfig",
-    "validate_config",
-    "run_pipeline",
-]

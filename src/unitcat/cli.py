@@ -27,7 +27,7 @@ from .pipeline import (
     synthesize_libraries,
     train_model,
 )
-from .scoring import format_roc, roc_svg
+from .scoring import format_roc, parse_roc, roc_svg
 from .toydata import DEFAULT_UNITS, default_speaker_specs, make_toy_corpus
 
 EXIT_OK = 0
@@ -223,16 +223,7 @@ def _cmd_eval(args) -> list[str]:
 
 
 def _cmd_plot_roc(args) -> list[str]:
-    points = []
-    for lineno, line in enumerate(
-        Path(args.roc).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if lineno == 1 and line.startswith("threshold"):
-            continue
-        if not line.strip():
-            continue
-        threshold, far, frr = (float(x) for x in line.split("\t"))
-        points.append((threshold, far, frr))
+    points = parse_roc(Path(args.roc).read_text(encoding="utf-8"))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(roc_svg(points, args.title), encoding="utf-8")

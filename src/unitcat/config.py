@@ -58,18 +58,23 @@ def _parse_label_set(raw: str) -> frozenset[str]:
     return frozenset(raw.split())
 
 
-def _parse_positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"expected an integer >= 1, got {value}")
-    return value
+def _checked(convert, ok, expected: str):
+    """A parser that converts a raw value and refuses it unless ok(value)."""
+
+    def parse(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(f"expected {expected}, got {raw!r}")
+        return value
+
+    return parse
 
 
-def _parse_learn_rate(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"expected a finite number >= 0, got {raw!r}")
-    return value
+_parse_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_parse_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_parse_learn_rate = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+_parse_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_parse_probability = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -93,17 +98,17 @@ _SCHEMA = {
         DEFAULT_SILENCE_LABELS,
     ),
     ("augment", "snr_list"): ("snr_list", _parse_float_list, ()),
-    ("features", "cmn_window"): ("cmn_window", int, 300),
+    ("features", "cmn_window"): ("cmn_window", _parse_positive_int, 300),
     ("features", "spec_augment"): ("spec_augment", _parse_bool, False),
-    ("features", "freq_mask_width"): ("freq_mask_width", int, 8),
-    ("features", "num_freq_masks"): ("num_freq_masks", int, 1),
-    ("features", "time_mask_width"): ("time_mask_width", int, 20),
-    ("features", "num_time_masks"): ("num_time_masks", int, 1),
+    ("features", "freq_mask_width"): ("freq_mask_width", _parse_nonnegative_int, 8),
+    ("features", "num_freq_masks"): ("num_freq_masks", _parse_nonnegative_int, 1),
+    ("features", "time_mask_width"): ("time_mask_width", _parse_nonnegative_int, 20),
+    ("features", "num_time_masks"): ("num_time_masks", _parse_nonnegative_int, 1),
     ("train", "steps"): ("train_steps", _parse_positive_int, 200),
     ("train", "learn_rate"): ("learn_rate", _parse_learn_rate, 0.05),
-    ("metrics", "p_target"): ("p_target", float, 0.01),
-    ("metrics", "c_miss"): ("c_miss", float, 1.0),
-    ("metrics", "c_fa"): ("c_fa", float, 1.0),
+    ("metrics", "p_target"): ("p_target", _parse_probability, 0.01),
+    ("metrics", "c_miss"): ("c_miss", _parse_positive_float, 1.0),
+    ("metrics", "c_fa"): ("c_fa", _parse_positive_float, 1.0),
 }
 
 

@@ -310,6 +310,24 @@ def format_roc(points: list[tuple[float, float, float]]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def parse_roc(text: str) -> list[tuple[float, float, float]]:
+    """format_roc's TSV back to (threshold, far, frr) points."""
+    points = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or (lineno == 1 and line.startswith("threshold")):
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise ScoringError(f"roc line {lineno}: expected 3 fields, got {len(fields)}")
+        try:
+            threshold, far, frr = (float(x) for x in fields)
+        except ValueError:
+            raise ScoringError(f"roc line {lineno}: bad number in {line!r}") from None
+        points.append((threshold, far, frr))
+    return points
+
+
 def roc_svg(points: list[tuple[float, float, float]], title: str = "DET") -> str:
     """A standalone SVG of the FAR/FRR trade-off polyline."""
     size, margin = 400, 45

@@ -154,8 +154,8 @@ def library_stats(lib: UnitLibrary, target_units: tuple[str, ...]) -> LibrarySta
 # row at <dir>/<speaker>/wav/<unit>_<source>_<start>_<end>.wav.
 
 
-def _segment_wav_name(s: UnitSegment) -> str:
-    return f"{s.unit}_{s.source_utterance}_{s.start_sample}_{s.end_sample}.wav"
+def _segment_wav_name(unit: str, source: str, start: int, end: int) -> str:
+    return f"{unit}_{source}_{start}_{end}.wav"
 
 
 def save_library(libdir: str | Path, lib: UnitLibrary) -> Path:
@@ -169,7 +169,8 @@ def save_library(libdir: str | Path, lib: UnitLibrary) -> Path:
                 f"{s.speaker_id}\t{unit}\t{s.source_utterance}"
                 f"\t{s.start_sample}\t{s.end_sample}"
             )
-            save_wav(wav_dir / _segment_wav_name(s), Waveform(s.samples, s.sample_rate))
+            name = _segment_wav_name(s.unit, s.source_utterance, s.start_sample, s.end_sample)
+            save_wav(wav_dir / name, Waveform(s.samples, s.sample_rate))
     (speaker_dir / "segments.tsv").write_text(
         "".join(line + "\n" for line in lines), encoding="utf-8"
     )
@@ -193,11 +194,7 @@ def load_library(speaker_dir: str | Path) -> UnitLibrary:
             )
         spk, unit, source, start_s, end_s = fields
         start, end = int(start_s), int(end_s)
-        seg_wav = load_wav(
-            speaker_dir
-            / "wav"
-            / f"{unit}_{source}_{start}_{end}.wav"
-        )
+        seg_wav = load_wav(speaker_dir / "wav" / _segment_wav_name(unit, source, start, end))
         table.setdefault(unit, []).append(
             UnitSegment(spk, unit, source, start, end, seg_wav.mono(), seg_wav.sample_rate)
         )

@@ -180,20 +180,33 @@ def _mono_float(w: Waveform, what: str) -> np.ndarray:
     return w.mono().astype(np.float64)
 
 
+def _noise_samples(noise: Waveform) -> np.ndarray:
+    n = _mono_float(noise, "noise")
+    if len(n) == 0:
+        raise AugmentError("empty noise waveform")
+    return n
+
+
+def _to_int16(x: np.ndarray, sample_rate: int) -> tuple[Waveform, int]:
+    """Round to int16, saturating; also the number of samples clipped."""
+    rounded = np.rint(x)
+    clipped = int(np.count_nonzero((rounded > 32767) | (rounded < -32768)))
+    return Waveform(np.clip(rounded, -32768, 32767).astype(np.int16), sample_rate), clipped
+
+
 def _mix_noise_core(
-    speech: Waveform, noise: Waveform, snr_db: float, seed: int
+    speech: Waveform, noise: np.ndarray, noise_rate: int, snr_db: float, seed: int
 ) -> tuple[Waveform, int]:
-    if speech.sample_rate != noise.sample_rate:
+    """mix_noise on noise already decoded by _noise_samples."""
+    if speech.sample_rate != noise_rate:
         raise AugmentError(
-            f"sample-rate mismatch: speech {speech.sample_rate}, noise {noise.sample_rate}"
+            f"sample-rate mismatch: speech {speech.sample_rate}, noise {noise_rate}"
         )
     s = _mono_float(speech, "speech")
-    n_all = _mono_float(noise, "noise")
-    if len(n_all) == 0:
-        raise AugmentError("empty noise waveform")
-    offset = SplitMix64(seed).next_below(len(n_all))
-    idx = (offset + np.arange(len(s))) % len(n_all)
-    n = n_all[idx]
+    offset = SplitMix64(seed).next_below(len(noise))
+    n = noise[offset : offset + len(s)]
+    if len(n) < len(s):  # the segment wraps around the end of the noise
+        n = np.resize(np.concatenate((n, noise[:offset])), len(s))
     p_speech = float(np.mean(s * s))
     p_noise = float(np.mean(n * n))
     if p_speech == 0.0:
@@ -201,11 +214,7 @@ def _mix_noise_core(
     if p_noise == 0.0:
         raise AugmentError("zero-power noise segment: SNR gain undefined")
     gain = float(np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0))))
-    mixed = s + gain * n
-    rounded = np.rint(mixed)
-    clipped = int(np.count_nonzero((rounded > 32767) | (rounded < -32768)))
-    out = np.clip(rounded, -32768, 32767).astype(np.int16)
-    return Waveform(out, speech.sample_rate), clipped
+    return _to_int16(s + gain * n, speech.sample_rate)
 
 
 def mix_noise(speech: Waveform, noise: Waveform, snr_db: float, seed: int) -> Waveform:
@@ -216,7 +225,7 @@ def mix_noise(speech: Waveform, noise: Waveform, snr_db: float, seed: int) -> Wa
     mixed region, so the realized SNR matches snr_db exactly before
     rounding. Samples saturate to int16.
     """
-    return _mix_noise_core(speech, noise, snr_db, seed)[0]
+    return _mix_noise_core(speech, _noise_samples(noise), noise.sample_rate, snr_db, seed)[0]
 
 
 def _convolve_rir_core(speech: Waveform, rir: np.ndarray) -> tuple[Waveform, int]:
@@ -244,10 +253,7 @@ def _convolve_rir_core(speech: Waveform, rir: np.ndarray) -> tuple[Waveform, int
         raise AugmentError("convolved signal has zero peak, cannot renormalize")
     in_peak = float(np.max(np.abs(s)))
     out *= in_peak / out_peak
-    rounded = np.rint(out)
-    clipped = int(np.count_nonzero((rounded > 32767) | (rounded < -32768)))
-    final = np.clip(rounded, -32768, 32767).astype(np.int16)
-    return Waveform(final, speech.sample_rate), clipped
+    return _to_int16(out, speech.sample_rate)
 
 
 def convolve_rir(speech: Waveform, rir: np.ndarray) -> Waveform:
@@ -281,36 +287,33 @@ def augment_corpus(
     """
     audio_root = Path(audio_root)
     out_dir = Path(out_dir)
-    noises = [load_wav(p) for p in noise_paths] if noise_paths and snr_list else []
+    noises = (
+        [(w.sample_rate, _noise_samples(w)) for w in map(load_wav, noise_paths)]
+        if noise_paths and snr_list
+        else []
+    )
     kernels = [load_wav(p).mono().astype(np.float64) / 32768.0 for p in rir_paths or ()]
     out_records: list[UtteranceRecord] = []
     report: list[AugmentationRow] = []
     for rec in records:
         speech = load_wav(audio_root / rec.audio_path)
-        if noises:
-            for snr in snr_list:
-                pick_rng = SplitMix64(derive_seed(seed, "noise-pick", rec.utterance_id, str(snr)))
-                noise = noises[pick_rng.next_below(len(noises))]
-                mix_seed = derive_seed(seed, "noise-mix", rec.utterance_id, str(snr))
-                mixed, clipped = _mix_noise_core(speech, noise, snr, mix_seed)
-                new_id = f"{rec.utterance_id}-noise{snr:g}"
-                path = f"wav/{new_id}.wav"
-                save_wav(out_dir / path, mixed)
-                out_records.append(
-                    UtteranceRecord(new_id, rec.speaker_id, rec.transcript, path)
-                )
-                report.append(AugmentationRow(new_id, "noise", snr, clipped))
+        copies = []  # (id, kind, snr_db, (waveform, clipped))
+        for snr in snr_list if noises else ():
+            pick_rng = SplitMix64(derive_seed(seed, "noise-pick", rec.utterance_id, str(snr)))
+            rate, noise = noises[pick_rng.next_below(len(noises))]
+            mix_seed = derive_seed(seed, "noise-mix", rec.utterance_id, str(snr))
+            mixed = _mix_noise_core(speech, noise, rate, snr, mix_seed)
+            copies.append((f"{rec.utterance_id}-noise{snr:g}", "noise", snr, mixed))
         if kernels:
             pick_rng = SplitMix64(derive_seed(seed, "rir-pick", rec.utterance_id))
             kernel = kernels[pick_rng.next_below(len(kernels))]
-            reverbed, clipped = _convolve_rir_core(speech, kernel)
-            new_id = f"{rec.utterance_id}-reverb"
+            reverbed = _convolve_rir_core(speech, kernel)
+            copies.append((f"{rec.utterance_id}-reverb", "reverb", None, reverbed))
+        for new_id, kind, snr, (wave, clipped) in copies:
             path = f"wav/{new_id}.wav"
-            save_wav(out_dir / path, reverbed)
-            out_records.append(
-                UtteranceRecord(new_id, rec.speaker_id, rec.transcript, path)
-            )
-            report.append(AugmentationRow(new_id, "reverb", None, clipped))
+            save_wav(out_dir / path, wave)
+            out_records.append(UtteranceRecord(new_id, rec.speaker_id, rec.transcript, path))
+            report.append(AugmentationRow(new_id, kind, snr, clipped))
     save_manifest(out_dir / "manifest.tsv", out_records)
     report_lines = [
         f"{r.utterance_id}\t{r.kind}\t{'' if r.snr_db is None else f'{r.snr_db:g}'}\t{r.clipped}"

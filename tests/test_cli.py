@@ -495,3 +495,38 @@ def test_run_command_executes_stages(tmp_path, capsys):
     # the seed override changes the synthesized audio
     assert run_cli("run", "--config", str(cfg), "--stages", "synth", "--seed", "99") == 0
     assert wav.read_bytes() != first
+
+
+def test_plot_roc_names_a_malformed_line(tmp_path, capsys):
+    roc = tmp_path / "roc.tsv"
+    roc.write_text("threshold\tfar\tfrr\n0.9\t0\t0.5\n0.8\t0.25\tnone\n")
+    svg = tmp_path / "roc.svg"
+    assert run_cli("plot-roc", "--roc", str(roc), "--out", str(svg)) == 2
+    assert "roc line 3" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize(
+    "section, setting", [("features", "cmn_window = 0"), ("metrics", "p_target = 1.5")]
+)
+def test_run_refuses_bad_values_before_the_first_stage(tmp_path, capsys, section, setting):
+    corpus = tmp_path / "corpus"
+    assert main(["make-toy", "--out", str(corpus), "--speakers", "2"]) == 0
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(
+        "[paths]\n"
+        f"corpus_dir = {corpus}\n"
+        f"out_dir = {out_dir}\n"
+        "[synthesis]\n"
+        "transcript = ni hao mi ya\n"
+        "seed = 5\n"
+        "[train]\n"
+        "steps = 1\n"
+        f"[{section}]\n"
+        f"{setting}\n"
+    )
+    assert run_cli("run", "--config", str(cfg)) == 2
+    key = setting.split(" = ")[0]
+    assert f"line 10: bad value for {section}.{key}" in capsys.readouterr().err
+    assert not (out_dir / "libraries").exists()

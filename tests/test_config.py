@@ -145,6 +145,45 @@ def test_smallest_train_values_accepted():
     assert (cfg.train_steps, cfg.learn_rate) == (1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("features", "cmn_window", "0"),
+        ("features", "cmn_window", "-5"),
+        ("features", "freq_mask_width", "-1"),
+        ("features", "num_freq_masks", "-1"),
+        ("features", "time_mask_width", "-2"),
+        ("features", "num_time_masks", "-1"),
+        ("metrics", "p_target", "0"),
+        ("metrics", "p_target", "1"),
+        ("metrics", "p_target", "1.5"),
+        ("metrics", "p_target", "nan"),
+        ("metrics", "c_miss", "0"),
+        ("metrics", "c_miss", "-1"),
+        ("metrics", "c_fa", "0"),
+        ("metrics", "c_fa", "inf"),
+    ],
+)
+def test_feature_and_metric_values_out_of_range_name_line_and_key(section, key, raw):
+    text = MINIMAL + f"[{section}]\n{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=f"line 9: bad value for {section}.{key}"):
+        validate_config(text)
+
+
+def test_smallest_feature_and_metric_values_accepted():
+    text = MINIMAL + (
+        "[features]\ncmn_window = 1\nfreq_mask_width = 0\nnum_freq_masks = 0\n"
+        "time_mask_width = 0\nnum_time_masks = 0\n"
+        "[metrics]\np_target = 1e-9\nc_miss = 1e-9\nc_fa = 1e-9\n"
+    )
+    cfg = validate_config(text)
+    assert cfg.cmn_window == 1
+    assert (cfg.freq_mask_width, cfg.num_freq_masks, cfg.time_mask_width, cfg.num_time_masks) == (
+        0, 0, 0, 0
+    )
+    assert (cfg.p_target, cfg.c_miss, cfg.c_fa) == (1e-9, 1e-9, 1e-9)
+
+
 def test_bool_parsing():
     for raw, want in [("true", True), ("YES", True), ("1", True), ("false", False), ("No", False), ("0", False)]:
         text = MINIMAL + f"[features]\nspec_augment = {raw}\n"

@@ -16,6 +16,7 @@ from unitcat.scoring import (
     cosine_score,
     format_roc,
     format_scores,
+    parse_roc,
     parse_scores,
     parse_trials,
     roc_svg,
@@ -451,6 +452,26 @@ def test_format_roc_header_and_rows():
     assert lines[0] == "threshold\tfar\tfrr"
     assert len(lines) == 1 + 10
     assert lines[1].startswith("-inf\t1\t0")
+
+
+def test_parse_roc_reads_format_roc_back_exactly():
+    rng = np.random.default_rng(4)
+    labels = rng.random(200) < 0.4
+    points = sweep_rates(ScoreSet(rng.normal(size=200) + labels, labels))
+    assert parse_roc(format_roc(points)) == points
+    assert parse_roc("") == []
+    assert parse_roc("0.5\t0.25\t0.75\n\n") == [(0.5, 0.25, 0.75)]  # header optional
+
+
+def test_parse_roc_errors_name_the_line():
+    header = "threshold\tfar\tfrr\n"
+    with pytest.raises(ScoringError, match="roc line 3: expected 3 fields, got 2"):
+        parse_roc(header + "0.5\t0.1\t0.9\n0.4\t0.2\n")
+    with pytest.raises(ScoringError, match="roc line 2: bad number"):
+        parse_roc(header + "0.5\tx\t0.9\n")
+    # only a first line may be the header
+    with pytest.raises(ScoringError, match="roc line 2: bad number"):
+        parse_roc(header + header)
 
 
 def test_roc_svg_is_wellformed_xml():

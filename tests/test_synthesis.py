@@ -242,6 +242,24 @@ def test_mix_noise_clips_at_int16():
     assert int(np.max(out.samples)) == 32767
 
 
+@pytest.mark.parametrize("noise_len", [1, 7, 49, 50, 51, 300])
+def test_mix_noise_equals_the_modulo_gather_reference(noise_len):
+    """The wrapped noise segment is noise[(offset + i) % len(noise)]."""
+    from unitcat.rng import SplitMix64
+
+    rng = np.random.default_rng(noise_len)
+    speech = Waveform(rng.integers(-9000, 9000, size=50, dtype=np.int16), 8000)
+    noise = Waveform(rng.integers(-9000, 9000, size=noise_len, dtype=np.int16), 8000)
+    for seed in range(8):
+        s = speech.samples[0].astype(np.float64)
+        n_all = noise.samples[0].astype(np.float64)
+        offset = SplitMix64(seed).next_below(noise_len)
+        n = n_all[(offset + np.arange(len(s))) % noise_len]
+        gain = np.sqrt(np.mean(s * s) / (np.mean(n * n) * 10.0 ** (3.0 / 10.0)))
+        want = np.clip(np.rint(s + gain * n), -32768, 32767).astype(np.int16)
+        assert np.array_equal(mix_noise(speech, noise, 3.0, seed).samples[0], want)
+
+
 # --- reverberation --------------------------------------------------------------
 
 
@@ -431,3 +449,27 @@ def test_augment_corpus_end_to_end(tmp_path):
         assert (out_dir / a.audio_path).read_bytes() == (
             tmp_path / "aug2" / b.audio_path
         ).read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["stereo", "empty"])
+def test_augment_corpus_refuses_an_unpicked_bad_noise_file_before_writing(tmp_path, bad):
+    from unitcat.audio import save_wav
+    from unitcat.corpus import UtteranceRecord
+    from unitcat.rng import SplitMix64, derive_seed
+
+    rng = np.random.default_rng(2)
+    speech = Waveform(rng.integers(-3000, 3000, 800, np.int16), 16000)
+    save_wav(tmp_path / "wav" / "u0.wav", speech)
+    records = [UtteranceRecord("u0", "spk0", ("ni",), "wav/u0.wav")]
+    good = tmp_path / "noise" / "good.wav"
+    save_wav(good, Waveform(rng.integers(-3000, 3000, 500, np.int16), 16000))
+    samples = np.zeros((2, 500) if bad == "stereo" else 0, dtype=np.int16)
+    save_wav(tmp_path / "noise" / "bad.wav", Waveform(samples, 16000))
+    # order the files so that the one draw picks the good one
+    pick = SplitMix64(derive_seed(5, "noise-pick", "u0", str(0.0))).next_below(2)
+    noise_paths = [good, tmp_path / "noise" / "bad.wav"][:: 1 if pick == 0 else -1]
+    message = "noise must be mono" if bad == "stereo" else "empty noise"
+    out_dir = tmp_path / "aug"
+    with pytest.raises(AugmentError, match=message):
+        augment_corpus(records, tmp_path, out_dir, 5, noise_paths, [0.0])
+    assert not out_dir.exists()

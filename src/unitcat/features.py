@@ -16,6 +16,7 @@ import numpy as np
 from .audio import Waveform
 from .corpus import VadLabels
 from .rng import SplitMix64
+from .workspace import Workspace
 
 FRAME_SHIFT_S = 0.010
 FRAME_WIDTH_S = 0.025
@@ -78,35 +79,50 @@ def _fbank_tables(sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
     return window, fb
 
 
-def compute_fbank(w: Waveform) -> np.ndarray:
+def compute_fbank(w: Waveform, work: Workspace | None = None) -> np.ndarray:
     """Log mel-filterbank energies, one row per frame.
 
     Per frame: pre-emphasis 0.97 (first sample scaled by 1-0.97), Hamming
     window, power spectrum zero-padded to the next power of two (512 at
     16 kHz), 40 mel filters from 20 Hz to Nyquist, natural log of energies
     floored at 1e-10.
+
+    The intermediate arrays come from work. A loop over many waveforms
+    owns one Workspace for all of them and passes it to every call, so
+    each call reuses the pages the previous one faulted in; without one,
+    each call allocates its own. The result never aliases work.
     """
     if w.channels != 1:
         raise ValueError(f"fbank needs mono audio, got {w.channels} channels")
     win, shift = frame_sizes(w.sample_rate)
-    x = w.mono().astype(np.float64)
-    num_frames = frame_count(len(x), win, shift)
+    samples = w.mono()
+    num_frames = frame_count(len(samples), win, shift)
     nfft = 1 << (win - 1).bit_length()
     window, fb = _fbank_tables(w.sample_rate)
+    if work is None:
+        work = Workspace()
+    work.rewind()
 
+    x = work(samples.shape)
+    x[...] = samples
     # Emphasize the signal once; inside a frame, sample j > 0 is y[start + j].
-    y = x.copy()
-    y[1:] -= PRE_EMPHASIS * x[:-1]
-    padded = np.zeros((num_frames, nfft))
+    y = work(x.shape)
+    y[0] = x[0]
+    np.multiply(x[:-1], PRE_EMPHASIS, out=y[1:])
+    np.subtract(x[1:], y[1:], out=y[1:])
+    padded = work((num_frames, nfft))
     frames = np.lib.stride_tricks.sliding_window_view(y, win)[::shift]
     np.multiply(frames, window, out=padded[:, :win])
+    # a reused buffer holds the last call's data past the window
+    padded[:, win:] = 0.0
     # a frame's first sample is emphasized against itself, not its predecessor
     first = x[::shift][:num_frames]
     padded[:, 0] = (first - PRE_EMPHASIS * first) * window[0]
     spectrum = np.fft.rfft(padded, axis=1)
-    power = np.square(spectrum.real)
-    power += np.square(spectrum.imag)
-    return np.log(np.maximum(power @ fb.T, ENERGY_FLOOR))
+    power = np.square(spectrum.real, out=work(spectrum.shape))
+    power += np.square(spectrum.imag, out=work(spectrum.shape))
+    energies = np.matmul(power, fb.T, out=work((num_frames, len(fb))))
+    return np.log(np.maximum(energies, ENERGY_FLOOR, out=energies))
 
 
 def apply_vad_filter(f: np.ndarray, v: VadLabels) -> np.ndarray:

@@ -71,6 +71,7 @@ from .tdnn import (
     save_params,
     train_step,
 )
+from .workspace import Workspace
 
 STAGES = ("segment", "synth", "augment", "featurize", "train", "extract", "score", "eval")
 
@@ -228,6 +229,8 @@ def featurize_corpus(
     root) source, in the archive out_base. With alignments, non-speech
     frames are dropped before normalization. With specaug, a masked copy
     of every record goes to the archive "train" beside out_base."""
+    if cmn_window < 1:
+        raise ValueError(f"cmn_window must be >= 1, got {cmn_window}")
     train_base = out_base.with_name("train")
     if specaug is not None and out_base.with_suffix("") == train_base:
         raise ValueError(f"{out_base} is where the masked archive goes; choose another name")
@@ -251,13 +254,14 @@ def featurize_corpus(
                 f"{', '.join(unaligned[:5])}"
             )
     utterances = frames = 0
+    work = Workspace()
     with contextlib.ExitStack() as stack:
         plain = stack.enter_context(ArchiveWriter(out_base))
         masked = stack.enter_context(ArchiveWriter(train_base)) if specaug is not None else None
         for records, audio_root in manifests:
             for rec in records:
                 wav = _record_audio(audio_root, rec)
-                feats = compute_fbank(wav)
+                feats = compute_fbank(wav, work)
                 if alignments is not None:
                     win, shift = frame_sizes(wav.sample_rate)
                     vad = derive_vad(
@@ -331,8 +335,9 @@ def train_model(
     params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init"))
     aam = AamParams()
     losses = []
+    work = Workspace()
     for _ in range(steps):
-        params, loss = train_step(params, batch, learn_rate, aam)
+        params, loss = train_step(params, batch, learn_rate, aam, work)
         losses.append(loss)
     save_params(params_path, params)
     return [

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import derive_seed
+from .workspace import Workspace
 
 # (name, splice offsets, output dim); input dim is len(offsets) * previous dim
 FRAME_LAYERS: tuple[tuple[str, tuple[int, ...], int], ...] = (
@@ -260,32 +261,11 @@ def _chunks(lengths: list[int]) -> list[range]:
     return chunks
 
 
-class _Buffers:
-    """Arrays handed out again to every chunk pass of a batch: the k-th
-    request of a pass gets the k-th buffer, grown when too small. The
-    chunks then reuse the same pages instead of handing them back to the
-    allocator and faulting fresh ones in."""
-
-    def __init__(self) -> None:
-        self._bufs: list[np.ndarray] = []
-        self._next = 0
-
-    def rewind(self) -> None:
-        self._next = 0
-
-    def __call__(self, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        if self._next == len(self._bufs):
-            self._bufs.append(np.empty(size))
-        elif self._bufs[self._next].size < size:
-            self._bufs[self._next] = np.empty(size)
-        buf = self._bufs[self._next]
-        self._next += 1
-        return buf[:size].reshape(shape)
-
-
 def loss_and_grads(
-    params: TdnnParams, batch: list[tuple[np.ndarray, int]], aam: AamParams
+    params: TdnnParams,
+    batch: list[tuple[np.ndarray, int]],
+    aam: AamParams,
+    work: Workspace | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Summed loss and summed gradients over a batch of (features, label)
     utterances; one utterance is the one-element batch.
@@ -298,16 +278,22 @@ def loss_and_grads(
     row whose context window straddles two utterances is computed but
     never pooled, so its gradient is exactly zero. Each chunk's gradients
     are added in place into one result set.
+
+    Every chunk pass takes its stacked activations and gradients from
+    work, so the chunks reuse the same pages. A training loop owns one
+    Workspace for all its steps and passes it to every call; without one,
+    the call allocates its own. The returned gradients never alias work.
     """
     utts = [(_check_feats(params, feats), label) for feats, label in batch]
     if not utts:
         raise ValueError("empty batch")
     grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-    buffers = _Buffers()
+    if work is None:
+        work = Workspace()
     loss = 0.0
     for chunk in _chunks([len(feats) for feats, _ in utts]):
-        buffers.rewind()
-        loss += _add_chunk_grads(params, [utts[i] for i in chunk], aam, grads, buffers)
+        work.rewind()
+        loss += _add_chunk_grads(params, [utts[i] for i in chunk], aam, grads, work)
     return loss, grads
 
 
@@ -316,7 +302,7 @@ def _add_chunk_grads(
     utts: list[tuple[np.ndarray, int]],
     aam: AamParams,
     grads: dict[str, np.ndarray],
-    alloc: _Buffers,
+    alloc: Workspace,
 ) -> float:
     """Add one chunk's gradients into grads; returns its summed loss."""
     frames = sum(len(feats) for feats, _ in utts)
@@ -400,12 +386,14 @@ def train_step(
     batch: list[tuple[np.ndarray, int]],
     lr: float,
     aam: AamParams,
+    work: Workspace | None = None,
 ) -> tuple[TdnnParams, float]:
     """One gradient-descent update on the batch-mean loss; params is left
-    unchanged."""
+    unchanged. work goes to loss_and_grads: a training loop owns one
+    Workspace for all its steps; the new tensors never alias it."""
     if not math.isfinite(lr) or lr < 0:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
-    loss_sum, grads = loss_and_grads(params, batch, aam)
+    loss_sum, grads = loss_and_grads(params, batch, aam, work)
     mean_loss = loss_sum / len(batch)
     if not math.isfinite(mean_loss):
         raise FloatingPointError(f"non-finite training loss {mean_loss}")

@@ -350,6 +350,28 @@ def test_featurize_specaug_refuses_an_archive_named_train(cli_workspace, tmp_pat
     assert "masked archive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_featurize_bad_cmn_window_leaves_existing_archives_unchanged(
+    cli_workspace, tmp_path, capsys, window
+):
+    _, _, _, synth, feats = cli_workspace
+    # an earlier run's plain and masked archives sit where this run writes
+    before = {}
+    for name in ("features", "train"):
+        for suffix in (".bin", ".tsv"):
+            path = tmp_path / f"{name}{suffix}"
+            path.write_bytes(feats.with_suffix(suffix).read_bytes())
+            before[path] = path.read_bytes()
+    code = run_cli(
+        "featurize", "--manifest", str(synth / "manifest.tsv"),
+        "--out", str(tmp_path / "features"), "--specaug", "--cmn-window", window,
+    )
+    for path, data in before.items():
+        assert path.read_bytes() == data, path
+    assert code == 2
+    assert f"cmn_window must be >= 1, got {window}" in capsys.readouterr().err
+
+
 def test_cli_stages_match_run_byte_for_byte(tmp_path):
     corpus = tmp_path / "corpus"
     assert main(["make-toy", "--out", str(corpus), "--speakers", "2"]) == 0

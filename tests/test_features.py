@@ -23,6 +23,7 @@ from unitcat.features import (
     sliding_mean_normalize,
     spec_augment,
 )
+from unitcat.workspace import Workspace
 
 
 def _tone(n, rate=16000, freq=440.0, amp=8000.0):
@@ -138,6 +139,45 @@ def test_fbank_equals_the_per_frame_reference(rate):
     floor = compute_fbank(silent)
     assert np.array_equal(floor, _reference_fbank(silent))
     assert np.all(floor == np.log(ENERGY_FLOOR))
+
+
+def _random_wave(n, rate, seed):
+    rng = np.random.default_rng(seed)
+    return Waveform(rng.integers(-32768, 32768, size=n).astype(np.int16), rate)
+
+
+def test_fbank_with_a_shared_workspace_equals_fresh_calls():
+    # rates and lengths change between calls, so the reused buffers are
+    # reshaped over the older calls' data
+    waves = [
+        _random_wave(3 * 16000 + 17, 16000, 1),
+        _random_wave(400, 16000, 2),
+        _random_wave(8000 + 33, 8000, 3),
+        _random_wave(44100 + 5, 44100, 4),
+        _random_wave(3 * 16000 + 17, 16000, 5),
+        Waveform(np.zeros(16000, dtype=np.int16), 16000),
+    ]
+    work = Workspace()
+    results = []
+    for w in waves:
+        got = compute_fbank(w, work)
+        assert np.array_equal(got, compute_fbank(w))
+        assert not any(np.shares_memory(got, buf) for buf in work.buffers)
+        results.append(got)
+    assert np.array_equal(results[0], compute_fbank(waves[0]))
+    assert np.all(results[-1] == np.log(ENERGY_FLOOR))
+
+
+def test_fbank_workspace_keeps_its_buffers_over_equal_lengths():
+    work = Workspace()
+    compute_fbank(_random_wave(13840, 16000, 0), work)
+    first = work.buffers
+    assert first
+    for seed in range(1, 4):
+        compute_fbank(_random_wave(13840, 16000, seed), work)
+        now = work.buffers
+        assert len(now) == len(first)
+        assert all(np.shares_memory(a, b) for a, b in zip(first, now))
 
 
 def test_fbank_tables_are_cached_read_only_and_left_unchanged():

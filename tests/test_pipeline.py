@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unitcat import pipeline
 from unitcat.audio import save_wav, Waveform
 from unitcat.archive import read_archive, write_archive
 from unitcat.config import ConfigError, validate_config
@@ -296,3 +297,34 @@ def test_extract_checks_every_record_before_embedding_any(tmp_path):
     with pytest.raises(ValueError, match=r"2 differ: b \(30x24\), c \(14x40\)"):
         extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
     assert not (tmp_path / "emb.tsv").exists()
+
+
+def test_featurize_and_train_each_own_one_workspace_per_call(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    make_toy_corpus(corpus, default_speaker_specs(2))
+    cfg = validate_config(
+        f"[paths]\ncorpus_dir = {corpus}\nout_dir = {tmp_path / 'out'}\n"
+        "[synthesis]\ntranscript = ni hao mi ya\nseed = 3\n[train]\nsteps = 3\n"
+    )
+    seen = {"fbank": [], "step": []}
+    real_fbank, real_step = pipeline.compute_fbank, pipeline.train_step
+
+    def fbank(w, work=None):
+        seen["fbank"].append(work)
+        return real_fbank(w, work)
+
+    def step(params, batch, lr, aam, work=None):
+        seen["step"].append(work)
+        return real_step(params, batch, lr, aam, work)
+
+    monkeypatch.setattr(pipeline, "compute_fbank", fbank)
+    monkeypatch.setattr(pipeline, "train_step", step)
+    stages = ("segment", "synth", "featurize", "train")
+    run_pipeline(cfg, stages)
+    first = {key: list(works) for key, works in seen.items()}
+    run_pipeline(cfg, stages)
+    for key, works in first.items():
+        assert len(works) > 1 and works[0] is not None, key
+        assert all(w is works[0] for w in works), key
+        # a rerun's loop owns a workspace of its own
+        assert seen[key][len(works)] is not works[0], key

@@ -27,6 +27,7 @@ from unitcat.tdnn import (
     train_step,
     transfer_init,
 )
+from unitcat.workspace import Workspace
 
 
 def _feats(t, seed=0, dim=FEAT_DIM):
@@ -406,6 +407,64 @@ def test_train_step_leaves_its_input_params_unchanged():
     for name, t in params.tensors.items():
         assert np.array_equal(t, before[name])
     assert not np.array_equal(updated.tensors["frame1.W"], params.tensors["frame1.W"])
+
+
+def _copy_tensors(params):
+    return {name: t.copy() for name, t in params.tensors.items()}
+
+
+def test_train_steps_with_a_carried_workspace_equal_fresh_ones():
+    aam = AamParams()
+    start = init_tdnn(TdnnConfig(num_classes=3), seed=36)
+    before = _copy_tensors(start)
+    # the second batch holds an utterance longer than a chunk, so the
+    # buffers the first step left must grow
+    batches = [
+        [(_feats(t, seed=200 + t), t % 3) for t in (MIN_FRAMES, 30, 41)],
+        [(_feats(t, seed=300 + t), t % 3) for t in (CHUNK_FRAMES + 20, 25, 60)],
+        [(_feats(t, seed=400 + t), t % 3) for t in (50, 50, MIN_FRAMES + 1, 33)],
+    ]
+    work = Workspace()
+    carried = fresh = start
+    sizes = []
+    for batch in batches:
+        carried, carried_loss = train_step(carried, batch, 0.05, aam, work)
+        fresh, fresh_loss = train_step(fresh, batch, 0.05, aam)
+        sizes.append(sum(buf.size for buf in work.buffers))
+        assert carried_loss == fresh_loss
+        for name in fresh.tensors:
+            assert np.array_equal(carried.tensors[name], fresh.tensors[name]), name
+            assert not any(np.shares_memory(carried.tensors[name], b) for b in work.buffers)
+    assert sizes[1] > sizes[0]
+    for name, t in start.tensors.items():
+        assert np.array_equal(t, before[name]), name
+
+
+def test_loss_and_grads_with_a_workspace_returns_fresh_gradients():
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=37)
+    batch = _toy_batch()
+    work = Workspace()
+    loss, grads = loss_and_grads(params, batch, AamParams(), work)
+    kept = {name: g.copy() for name, g in grads.items()}
+    assert loss == loss_and_grads(params, batch, AamParams())[0]
+    loss_and_grads(params, _toy_batch(seed=38), AamParams(), work)
+    for name, g in grads.items():
+        assert np.array_equal(g, kept[name]), name
+        assert not any(np.shares_memory(g, b) for b in work.buffers)
+
+
+def test_training_workspace_keeps_its_buffers_over_repeated_steps():
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=38)
+    batch = _toy_batch(per_class=4, t=60)
+    work = Workspace()
+    params, _ = train_step(params, batch, 0.05, AamParams(), work)
+    first = work.buffers
+    assert first
+    for _ in range(3):
+        params, _ = train_step(params, batch, 0.05, AamParams(), work)
+        now = work.buffers
+        assert len(now) == len(first)
+        assert all(np.shares_memory(a, b) for a, b in zip(first, now))
 
 
 # --- transfer and persistence ---------------------------------------------------

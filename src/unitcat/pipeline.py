@@ -350,15 +350,16 @@ def train_model(
 
 
 def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -> list[str]:
-    """One embedding per feature record, in archive order."""
+    """One embedding per feature record, in archive order, from one batched
+    forward pass; the embedding archive is written only once they all exist."""
     params = load_params(_require(params_path, "trained parameters"))
     _require(features_base.with_suffix(".tsv"), "feature archive")
     archive = read_archive(features_base)
+    records = [(utt_id, feats) for utt_id, recs in archive.items() for feats in recs]
     feat_dim = params.config.feat_dim
     unfit = [
         f"{utt_id} ({len(feats)}x{feats.shape[1]})"
-        for utt_id, records in archive.items()
-        for feats in records
+        for utt_id, feats in records
         if len(feats) < MIN_FRAMES or feats.shape[1] != feat_dim
     ]
     if unfit:
@@ -366,14 +367,17 @@ def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -
             f"extraction needs at least {MIN_FRAMES} frames of {feat_dim} features per "
             f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
         )
-    count = 0
+    nonfinite = [utt_id for utt_id, feats in records if not np.isfinite(feats).all()]
+    if nonfinite:
+        raise ValueError(
+            f"{len(nonfinite)} feature records hold non-finite values: "
+            f"{', '.join(nonfinite[:5])}"
+        )
+    embeddings, _ = forward(params, [feats for _, feats in records])
     with ArchiveWriter(out_base) as writer:
-        for utt_id, records in archive.items():
-            for feats in records:
-                embedding, _ = forward(params, feats.astype(np.float64))
-                writer.add(utt_id, embedding)
-                count += 1
-    return [f"embeddings: {count}"]
+        for (utt_id, _), embedding in zip(records, embeddings):
+            writer.add(utt_id, embedding)
+    return [f"embeddings: {len(records)}"]
 
 
 def score_embeddings(trials_path: Path, embeddings_base: Path, scores_path: Path) -> list[str]:

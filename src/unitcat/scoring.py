@@ -90,6 +90,9 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
 def _sweep(s: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(thresholds, FAR, FRR) arrays at all distinct scores and both
     sentinels, thresholds ascending."""
+    nonfinite = np.count_nonzero(~np.isfinite(s.scores))
+    if nonfinite:
+        raise ScoringError(f"{nonfinite} of {len(s)} scores are not finite")
     targets, nontargets = s.split()
     t_sorted = np.sort(targets)
     nt_sorted = np.sort(nontargets)
@@ -295,9 +298,12 @@ def parse_scores(text: str) -> ScoreSet:
         if len(fields) != 4:
             raise ScoringError(f"scores line {lineno}: expected 4 fields, got {len(fields)}")
         try:
-            scores.append(float(fields[2]))
+            score = float(fields[2])
         except ValueError:
             raise ScoringError(f"scores line {lineno}: bad score {fields[2]!r}") from None
+        if not math.isfinite(score):
+            raise ScoringError(f"scores line {lineno}: non-finite score {fields[2]!r}")
+        scores.append(score)
         if fields[3] not in ("target", "nontarget"):
             raise ScoringError(f"scores line {lineno}: bad label {fields[3]!r}")
         labels.append(fields[3] == "target")

@@ -8,16 +8,19 @@ cosines trained with an additive-angular-margin softmax. Everything is
 float64 numpy with hand-derived analytic gradients, so the whole network
 is finite-difference checkable.
 
-Training runs in stacked passes: ``loss_and_grads`` concatenates up to
-CHUNK_FRAMES frames of a batch's utterances into one stream and runs each
-frame layer as one GEMM over it, forward and backward. Rows whose context
-window straddles two utterances are computed but never pooled, so their
-gradient is exactly zero. ``forward`` runs the same frame-layer loop on a
-single utterance.
+Every pass is stacked: ``loss_and_grads`` and ``forward`` concatenate up
+to CHUNK_FRAMES frames of their utterances into one stream and run each
+frame layer as one GEMM over it. A spliced layer's rows are each
+utterance's valid rows back to back, so no row's context window straddles
+two utterances, and an utterance of T frames gives T - MIN_FRAMES + 1
+frame5 rows. ``forward`` takes one (T, 40) matrix or a list of them; its
+forward-only pass keeps two layer buffers besides the stream, not every
+layer's activations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,8 +44,9 @@ STATS_DIM = 2 * FRAME_LAYERS[-1][2]
 # total splice context: frames needed to produce one pooled frame
 MIN_FRAMES = 1 + sum(max(offs) - min(offs) for _, offs, _ in FRAME_LAYERS)
 VARIANCE_FLOOR = 1e-10
-# frames per stacked pass of loss_and_grads: enough rows for the GEMMs to
-# run near the BLAS rate, few enough that a pass's buffers stay ~15 MB
+# frames per stacked pass of loss_and_grads and forward: enough rows for
+# the GEMMs to run near the BLAS rate, few enough that a training pass's
+# buffers stay ~11 MB
 CHUNK_FRAMES = 384
 
 PARAMS_MAGIC = "TDNNPARAMS"
@@ -133,7 +137,7 @@ def stats_pool(h: np.ndarray, floor: float = VARIANCE_FLOOR) -> np.ndarray:
 
 
 def _check_feats(params: TdnnParams, feats: np.ndarray) -> np.ndarray:
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = np.asarray(feats)
     if feats.ndim != 2 or feats.shape[1] != params.config.feat_dim:
         raise ValueError(
             f"expected (T, {params.config.feat_dim}) features, got {feats.shape}"
@@ -143,31 +147,78 @@ def _check_feats(params: TdnnParams, feats: np.ndarray) -> np.ndarray:
     return feats
 
 
+def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The first prod(shape) elements of the contiguous buf, as shape."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def _frame_layers(
-    params: TdnnParams, x: np.ndarray, alloc=np.empty
-) -> dict[str, np.ndarray]:
-    """Each frame layer's spliced input and ReLU output over the frame
-    stream x, one GEMM per layer; alloc(shape) supplies the new arrays."""
-    acts: dict[str, np.ndarray] = {}
+    params: TdnnParams,
+    x: np.ndarray,
+    lengths: list[int],
+    alloc,
+    acts: dict[str, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Frame layers over the stream x, which stacks utterances of the
+    given frame counts, one GEMM per layer; returns frame5's output.
+
+    A spliced layer splices each utterance's valid rows into a compact
+    matrix, so no row's context window straddles two utterances.
+    alloc(shape) supplies each layer's spliced input and then its output;
+    acts, when given, keeps them as '<layer>.spliced' and '<layer>.out'.
+    """
     for name, offsets, out_dim in FRAME_LAYERS:
-        rows = len(x) - (max(offsets) - min(offsets))
-        if len(offsets) == 1:
-            spliced = x
-        else:
-            spliced = splice(x, offsets, out=alloc((rows, len(offsets) * x.shape[1])))
-        x = np.matmul(spliced, params.tensors[f"{name}.W"].T, out=alloc((rows, out_dim)))
+        spliced = x
+        if len(offsets) > 1:
+            ctx = max(offsets) - min(offsets)
+            spliced = alloc((len(x) - ctx * len(lengths), len(offsets) * x.shape[1]))
+            src = dst = 0
+            for t in lengths:
+                splice(x[src : src + t], offsets, out=spliced[dst : dst + t - ctx])
+                src += t
+                dst += t - ctx
+            lengths = [t - ctx for t in lengths]
+        x = np.matmul(spliced, params.tensors[f"{name}.W"].T, out=alloc((len(spliced), out_dim)))
         x += params.tensors[f"{name}.b"]
         np.maximum(x, 0.0, out=x)
-        acts[f"{name}.spliced"] = spliced
-        acts[f"{name}.out"] = x
-    return acts
+        if acts is not None:
+            acts[f"{name}.spliced"] = spliced
+            acts[f"{name}.out"] = x
+    return x
+
+
+def _pooled_spans(lengths: list[int]) -> list[slice]:
+    """Each stacked utterance's frame5 rows, from its frame count."""
+    spans, start = [], 0
+    for t in lengths:
+        spans.append(slice(start, start + t - (MIN_FRAMES - 1)))
+        start = spans[-1].stop
+    return spans
+
+
+def _pool(
+    h: np.ndarray, spans: list[slice], centered: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """stats_pool of each span of h's rows, (n, 2 * dim), and each span's
+    unfloored variance, (n, dim); centered gets h minus its span's mean."""
+    dim = h.shape[1]
+    pooled = np.empty((len(spans), 2 * dim))
+    var = np.empty((len(spans), dim))
+    for i, rows in enumerate(spans):
+        pooled[i, :dim] = h[rows].mean(axis=0)
+        c = np.subtract(h[rows], pooled[i, :dim], out=centered[rows])
+        var[i] = np.mean(c * c, axis=0)
+    pooled[:, dim:] = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+    return pooled, var
 
 
 def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.ndarray]:
-    """Forward pass keeping each frame layer's spliced input and output,
-    the pooled statistics, the embedding and the cosines."""
-    acts = _frame_layers(params, _check_feats(params, feats))
-    pooled = stats_pool(acts["frame5.out"])
+    """Forward pass over one utterance keeping each frame layer's spliced
+    input and output, the pooled statistics, the embedding and the
+    cosines."""
+    feats = np.asarray(_check_feats(params, feats), dtype=np.float64)
+    acts: dict[str, np.ndarray] = {}
+    pooled = stats_pool(_frame_layers(params, feats, [len(feats)], np.empty, acts))
     embedding = pooled @ params.tensors["segment6.W"].T + params.tensors["segment6.b"]
     acts["pooled"] = pooled
     acts["embedding"] = embedding
@@ -175,20 +226,66 @@ def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.n
     return acts
 
 
-def forward(params: TdnnParams, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(embedding, per-class cosine logits)."""
-    acts = forward_activations(params, feats)
-    return acts["embedding"], acts["cosines"]
+def forward(
+    params: TdnnParams,
+    feats: np.ndarray | list[np.ndarray],
+    work: Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(embedding, per-class cosine logits) of one (T, feat_dim) matrix;
+    for a list of them, (embeddings (n, EMBED_DIM), cosines (n, classes)).
+
+    Every utterance is checked before any arithmetic. The utterances are
+    then stacked in chunks of at most CHUNK_FRAMES frames, as in
+    loss_and_grads: one GEMM per frame layer per chunk, each utterance
+    pooled on its own rows, one segment6 GEMM per chunk and one cosine
+    GEMM at the end. Each frame layer reads only the layer before it, so
+    the call takes just three buffers from work, sized for its largest
+    chunk: the stream and two that the layers of every chunk use in turn.
+    Without a work, the call creates its own; the returned arrays never
+    alias it.
+    """
+    batched = isinstance(feats, (list, tuple))
+    utts = [_check_feats(params, f) for f in (feats if batched else [feats])]
+    lengths = [len(f) for f in utts]
+    chunks = _chunks(lengths)
+    if work is None:
+        work = Workspace()
+    frames = max((sum(lengths[i] for i in chunk) for chunk in chunks), default=0)
+    widest = max(max(i, o) for _, i, o in layer_dims(params.config.feat_dim))
+    stream_buf = work((frames * params.config.feat_dim,))
+    bufs = (work((frames * widest,)), work((frames * widest,)))
+    embeddings = np.empty((len(utts), EMBED_DIM))
+    for chunk in chunks:
+        chunk_lengths = lengths[chunk.start : chunk.stop]
+        stream = np.concatenate(
+            utts[chunk.start : chunk.stop],
+            out=_head(stream_buf, (sum(chunk_lengths), params.config.feat_dim)),
+        )
+        alloc = _taking_turns(bufs)
+        h = _frame_layers(params, stream, chunk_lengths, alloc)
+        pooled, _ = _pool(h, _pooled_spans(chunk_lengths), alloc(h.shape))
+        rows = embeddings[chunk.start : chunk.stop]
+        np.matmul(pooled, params.tensors["segment6.W"].T, out=rows)
+        rows += params.tensors["segment6.b"]
+    cosines = _cosines(embeddings, params.tensors["projection.W"])
+    return (embeddings, cosines) if batched else (embeddings[0], cosines[0])
 
 
-def _cosines(embedding: np.ndarray, proj: np.ndarray) -> np.ndarray:
-    e_norm = np.linalg.norm(embedding)
-    if e_norm == 0.0:
+def _taking_turns(bufs: tuple[np.ndarray, ...]):
+    """alloc whose requests take the flat buffers bufs in turn."""
+    turns = itertools.cycle(bufs)
+    return lambda shape: _head(next(turns), shape)
+
+
+def _cosines(embeddings: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Cosine of each embedding (the last axis) with each class column."""
+    e_norms = np.linalg.norm(embeddings, axis=-1, keepdims=True)
+    if np.any(e_norms == 0.0):
         raise ValueError("zero-norm embedding has no direction")
     w_norms = np.linalg.norm(proj, axis=0)
     if np.any(w_norms == 0.0):
         raise ValueError("projection has a zero-norm class column")
-    return np.clip((embedding / e_norm) @ (proj / w_norms), -1.0, 1.0)
+    return np.clip((embeddings / e_norms) @ (proj / w_norms), -1.0, 1.0)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -257,7 +354,8 @@ def _chunks(lengths: list[int]) -> list[range]:
             chunks.append(range(start, i))
             start, frames = i, 0
         frames += t
-    chunks.append(range(start, len(lengths)))
+    if lengths:
+        chunks.append(range(start, len(lengths)))
     return chunks
 
 
@@ -274,9 +372,8 @@ def loss_and_grads(
     cut into chunks of at most CHUNK_FRAMES frames (a longer utterance is
     a chunk of its own). Each chunk's utterances are stacked into one
     frame stream, so each frame layer runs one GEMM per chunk for its
-    forward pass, its weight gradient and its input gradient. A stacked
-    row whose context window straddles two utterances is computed but
-    never pooled, so its gradient is exactly zero. Each chunk's gradients
+    forward pass, its weight gradient and its input gradient; no row
+    straddles two utterances (see _frame_layers). Each chunk's gradients
     are added in place into one result set.
 
     Every chunk pass takes its stacked activations and gradients from
@@ -297,6 +394,28 @@ def loss_and_grads(
     return loss, grads
 
 
+def _unsplice(
+    d_spliced: np.ndarray, lengths: list[int], offsets: tuple[int, ...], buf: np.ndarray
+) -> np.ndarray:
+    """Gradient of a spliced layer's stacked input, in the head of buf, from
+    the gradient of its spliced copy, whose rows hold lengths[i] rows of
+    utterance i: each row's blocks add back onto the frames they copied."""
+    ctx = max(offsets) - min(offsets)
+    lo = -min(offsets)
+    width = d_spliced.shape[1] // len(offsets)
+    d_x = _head(buf, (len(d_spliced) + ctx * len(lengths), width))
+    d_x.fill(0.0)
+    src = dst = 0
+    for n in lengths:
+        for j, off in enumerate(offsets):
+            d_x[dst + lo + off : dst + lo + off + n] += d_spliced[
+                src : src + n, j * width : (j + 1) * width
+            ]
+        src += n
+        dst += n + ctx
+    return d_x
+
+
 def _add_chunk_grads(
     params: TdnnParams,
     utts: list[tuple[np.ndarray, int]],
@@ -305,34 +424,21 @@ def _add_chunk_grads(
     alloc: Workspace,
 ) -> float:
     """Add one chunk's gradients into grads; returns its summed loss."""
-    frames = sum(len(feats) for feats, _ in utts)
+    lengths = [len(feats) for feats, _ in utts]
     stream = np.concatenate(
-        [feats for feats, _ in utts], out=alloc((frames, params.config.feat_dim))
+        [feats for feats, _ in utts], out=alloc((sum(lengths), params.config.feat_dim))
     )
-    acts = _frame_layers(params, stream, alloc)
-
-    # frame5 row r sees stream rows r .. r + MIN_FRAMES - 1, so utterance
-    # i pools the len - MIN_FRAMES + 1 rows from its first stream row; the
-    # MIN_FRAMES - 1 rows after them straddle two utterances
-    h = acts["frame5.out"]
+    acts: dict[str, np.ndarray] = {}
+    h = _frame_layers(params, stream, lengths, alloc, acts)
+    spans = _pooled_spans(lengths)
+    # holds dL/dh, then the input gradient of each spliced layer; no layer
+    # output is larger
+    grad_buf = alloc((max(acts[f"{name}.out"].size for name, _, _ in FRAME_LAYERS),))
+    # h minus its utterance's mean, later dL/dh
+    centered = _head(grad_buf, h.shape)
+    pooled, var = _pool(h, spans, centered)
     dim = h.shape[1]
-    spans = []
-    start = 0
-    for feats, _ in utts:
-        spans.append(slice(start, start + len(feats) - (MIN_FRAMES - 1)))
-        start += len(feats)
-    # h minus its utterance's mean on pooled rows, zero on straddling rows;
-    # later dL/dh
-    centered = alloc(h.shape)
-    pooled = np.empty((len(utts), 2 * dim))
-    var = np.empty((len(utts), dim))
-    for i, rows in enumerate(spans):
-        pooled[i, :dim] = h[rows].mean(axis=0)
-        c = np.subtract(h[rows], pooled[i, :dim], out=centered[rows])
-        var[i] = np.mean(c * c, axis=0)
-        centered[rows.stop : rows.stop + MIN_FRAMES - 1] = 0.0
-    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-    pooled[:, dim:] = std
+    std = pooled[:, dim:]
 
     w6 = params.tensors["segment6.W"]
     embeddings = pooled @ w6.T + params.tensors["segment6.b"]
@@ -355,29 +461,25 @@ def _add_chunk_grads(
         centered[rows] += d_pooled[i, :dim] / n
 
     d_x = centered
+    lengths = [rows.stop - rows.start for rows in spans]
     w_scratch = alloc((max(params.tensors[f"{n}.W"].size for n, _, _ in FRAME_LAYERS),))
     for depth in range(len(FRAME_LAYERS) - 1, -1, -1):
         name, offsets, _ = FRAME_LAYERS[depth]
         w = params.tensors[f"{name}.W"]
-        spliced = acts[f"{name}.spliced"]
-        d_x *= acts[f"{name}.out"] > 0.0
-        grads[f"{name}.W"] += np.matmul(
-            d_x.T, spliced, out=w_scratch[: w.size].reshape(w.shape)
-        )
+        spliced, out = acts[f"{name}.spliced"], acts[f"{name}.out"]
+        d_x *= out > 0.0
+        grads[f"{name}.W"] += np.matmul(d_x.T, spliced, out=_head(w_scratch, w.shape))
         grads[f"{name}.b"] += d_x.sum(axis=0)
         if depth == 0:
             break  # the input features take no gradient
         if len(offsets) == 1:
-            d_x = np.matmul(d_x, w, out=alloc((len(d_x), w.shape[1])))
+            # out is spent once its mask is applied; frame4 and frame5 are
+            # at least as wide as their inputs, so it takes their gradient
+            d_x = np.matmul(d_x, w, out=_head(out, (len(d_x), w.shape[1])))
             continue
         # the spliced copy is spent; its buffer takes the spliced gradient
-        d_spliced = np.matmul(d_x, w, out=spliced)
-        lo = -min(offsets)
-        width = w.shape[1] // len(offsets)
-        d_x = alloc((len(d_spliced) + max(offsets) + lo, width))
-        d_x.fill(0.0)
-        for j, off in enumerate(offsets):
-            d_x[lo + off : lo + off + len(d_spliced)] += d_spliced[:, j * width : (j + 1) * width]
+        d_x = _unsplice(np.matmul(d_x, w, out=spliced), lengths, offsets, grad_buf)
+        lengths = [n + max(offsets) - min(offsets) for n in lengths]
     return loss
 
 

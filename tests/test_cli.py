@@ -6,7 +6,7 @@ import pytest
 from unitcat.archive import read_archive, write_archive
 from unitcat.cli import build_parser, main
 from unitcat.kws import save_labels
-from unitcat.tdnn import load_params
+from unitcat.tdnn import TdnnConfig, init_tdnn, load_params, save_params
 
 
 def run_cli(*argv):
@@ -272,6 +272,22 @@ def test_extract_names_records_too_short_to_embed(cli_workspace, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"{ids[-1]} (0x40)" in err and "at least 15 frames" in err
     assert not out.with_suffix(".tsv").exists()
+
+def test_extract_names_non_finite_records_and_exits_2(tmp_path, capsys):
+    feats = np.random.default_rng(8).standard_normal((30, 40)).astype(np.float32)
+    bad = feats.copy()
+    bad[0, 0] = np.nan
+    write_archive(tmp_path / "feats", [("ok", feats), ("broken", bad)])
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 1))
+    out = tmp_path / "emb"
+    code = run_cli(
+        "extract", "--params", str(tmp_path / "params.bin"),
+        "--features", str(tmp_path / "feats"), "--out", str(out),
+    )
+    assert code == 2
+    assert "non-finite values: broken" in capsys.readouterr().err
+    assert not out.with_suffix(".tsv").exists()
+
 
 def test_train_toy_with_zero_steps_exits_2(cli_workspace, tmp_path, capsys):
     _, _, _, synth, feats = cli_workspace

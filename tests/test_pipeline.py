@@ -299,6 +299,58 @@ def test_extract_checks_every_record_before_embedding_any(tmp_path):
     assert not (tmp_path / "emb.tsv").exists()
 
 
+def test_extract_runs_one_forward_pass_over_every_record_in_archive_order(
+    tmp_path, monkeypatch
+):
+    rng = np.random.default_rng(5)
+    records = [("b", 31), ("a", 40), ("b", 17), ("c", 60)]
+    feats = [rng.standard_normal((t, 40)).astype(np.float32) for _, t in records]
+    write_archive(tmp_path / "feats", [(utt, f) for (utt, _), f in zip(records, feats)])
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+    calls = []
+    real_forward = pipeline.forward
+
+    def forward(params, batch, *rest):
+        calls.append(batch)
+        return real_forward(params, batch, *rest)
+
+    monkeypatch.setattr(pipeline, "forward", forward)
+    extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
+    assert len(calls) == 1
+    # archive order: ids by first appearance, each id's records in turn
+    assert [f.tolist() for f in calls[0]] == [feats[i].tolist() for i in (0, 2, 1, 3)]
+    embeddings = read_archive(tmp_path / "emb")
+    assert [(utt, len(recs)) for utt, recs in embeddings.items()] == [("b", 2), ("a", 1), ("c", 1)]
+
+
+def test_extract_refuses_non_finite_records_naming_them(tmp_path):
+    rng = np.random.default_rng(6)
+    good = rng.standard_normal((30, 40)).astype(np.float32)
+    nan, inf = good.copy(), good.copy()
+    nan[3, 7] = np.nan
+    inf[29, 0] = -np.inf
+    write_archive(tmp_path / "feats", [("a", good), ("b", nan), ("c", good), ("d", inf)])
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+    with pytest.raises(ValueError, match=r"2 feature records hold non-finite values: b, d"):
+        extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
+    assert not (tmp_path / "emb.tsv").exists()
+
+
+def test_extract_writes_no_archive_when_the_forward_pass_fails(tmp_path, monkeypatch):
+    feats = np.random.default_rng(7).standard_normal((30, 40)).astype(np.float32)
+    write_archive(tmp_path / "feats", [("a", feats), ("b", feats)])
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+
+    def forward(*args):
+        raise FloatingPointError("forward failed")
+
+    monkeypatch.setattr(pipeline, "forward", forward)
+    with pytest.raises(FloatingPointError):
+        extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
+    assert not (tmp_path / "emb.tsv").exists()
+    assert not (tmp_path / "emb.bin").exists()
+
+
 def test_featurize_and_train_each_own_one_workspace_per_call(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     make_toy_corpus(corpus, default_speaker_specs(2))

@@ -446,6 +446,19 @@ def test_parse_scores_errors():
         parse_scores("a b 0.5 yes\n")
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
+def test_parse_scores_refuses_a_non_finite_score_naming_its_line(score):
+    with pytest.raises(ScoringError, match=rf"line 2: non-finite score '{score}'"):
+        parse_scores(f"a b 0.5 target\na c {score} nontarget\nb c 0.1 nontarget\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_det_metrics_refuse_non_finite_scores(bad):
+    scores = ScoreSet(np.array([0.9, bad, 0.1, 0.2]), np.array([True, True, False, False]))
+    with pytest.raises(ScoringError, match="1 of 4 scores are not finite"):
+        compute_det_metrics(scores)
+
+
 def test_format_roc_header_and_rows():
     text = format_roc(sweep_rates(WORKED))
     lines = text.splitlines()

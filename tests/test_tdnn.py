@@ -346,6 +346,69 @@ def test_loss_and_grads_rejects_an_empty_batch():
         loss_and_grads(init_tdnn(TdnnConfig(num_classes=2), seed=28), [], AamParams())
 
 
+# --- batched forward -----------------------------------------------------------
+
+
+def test_batched_forward_equals_per_utterance_forward():
+    params = init_tdnn(TdnnConfig(num_classes=5), seed=60)
+    # one utterance of exactly MIN_FRAMES, one longer than a chunk, and
+    # more than two chunks in all
+    lengths = [MIN_FRAMES, 90, CHUNK_FRAMES + 25, 33, CHUNK_FRAMES - 50, 71, MIN_FRAMES, 120]
+    assert sum(lengths) > 2 * CHUNK_FRAMES
+    feats = [_feats(t, seed=500 + t).astype(np.float32) for t in lengths]
+    embeddings, cosines = forward(params, feats)
+    assert embeddings.shape == (len(lengths), EMBED_DIM)
+    assert cosines.shape == (len(lengths), 5)
+    for i, f in enumerate(feats):
+        emb, cos = forward(params, f.astype(np.float64))
+        assert emb.shape == (EMBED_DIM,) and cos.shape == (5,)
+        assert _rel_err(embeddings[i], emb) <= 1e-12, i
+        assert _rel_err(cosines[i], cos) <= 1e-12, i
+        acts = forward_activations(params, f)
+        assert _rel_err(embeddings[i], acts["embedding"]) <= 1e-12, i
+
+
+def test_batched_forward_of_no_utterances_is_empty():
+    embeddings, cosines = forward(init_tdnn(TdnnConfig(num_classes=3), seed=61), [])
+    assert embeddings.shape == (0, EMBED_DIM)
+    assert cosines.shape == (0, 3)
+
+
+@pytest.mark.parametrize("where", [0, 3, -1])
+@pytest.mark.parametrize(
+    "bad, match",
+    [(np.zeros((20, FEAT_DIM + 1)), "features"), (np.zeros((14, FEAT_DIM)), "at least 15")],
+)
+def test_batched_forward_refuses_a_bad_utterance_before_any_gemm(where, bad, match, monkeypatch):
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=62)
+    feats = [_feats(CHUNK_FRAMES // 2, seed=i) for i in range(6)]
+    feats[where] = bad
+    passes = []
+    monkeypatch.setattr(tdnn, "_frame_layers", lambda *args: passes.append(args))
+    with pytest.raises(ValueError, match=match):
+        forward(params, feats)
+    assert passes == []
+
+
+def test_batched_forward_workspace_holds_the_stream_and_two_layer_buffers():
+    params = init_tdnn(TdnnConfig(num_classes=3), seed=63)
+    lengths = [80, 95, 100, 60, CHUNK_FRAMES + 10, 40, 77]
+    feats = [_feats(t, seed=600 + t) for t in lengths]
+    work = Workspace()
+    embeddings, cosines = forward(params, feats, work)
+    widest = max(max(in_dim, out_dim) for _, in_dim, out_dim in layer_dims())
+    frames = CHUNK_FRAMES + 10  # the largest chunk
+    sizes = [buf.size for buf in work.buffers]
+    assert len(sizes) == 3
+    assert sizes[0] == frames * FEAT_DIM
+    assert max(sizes[1:]) <= frames * widest
+    for out in (embeddings, cosines):
+        assert not any(np.shares_memory(out, b) for b in work.buffers)
+    # a carried workspace gives the same numbers as a fresh one
+    again, _ = forward(params, feats[::-1], work)
+    assert np.array_equal(again, forward(params, feats[::-1])[0])
+
+
 # --- training ----------------------------------------------------------------
 
 
@@ -465,6 +528,29 @@ def test_training_workspace_keeps_its_buffers_over_repeated_steps():
         now = work.buffers
         assert len(now) == len(first)
         assert all(np.shares_memory(a, b) for a, b in zip(first, now))
+
+
+def test_training_workspace_holds_activations_and_two_gradient_buffers():
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=39)
+    lengths = [40, 55, 31]  # one chunk
+    batch = [(_feats(t, seed=700 + t), i % 2) for i, t in enumerate(lengths)]
+    work = Workspace()
+    loss_and_grads(params, batch, AamParams(), work)
+    # the stream, each layer's spliced input and output over the rows that
+    # straddle no two utterances, one gradient buffer the size of the
+    # largest output and one weight-gradient scratch
+    want = [sum(lengths) * FEAT_DIM]
+    rows = list(lengths)
+    outs = []
+    for (name, offsets, out_dim), (_, in_dim, _) in zip(tdnn.FRAME_LAYERS, layer_dims()):
+        rows = [t - (max(offsets) - min(offsets)) for t in rows]
+        if len(offsets) > 1:
+            want.append(sum(rows) * in_dim)
+        outs.append(sum(rows) * out_dim)
+        want.append(outs[-1])
+    want.append(max(outs))
+    want.append(max(params.tensors[f"{name}.W"].size for name, _, _ in tdnn.FRAME_LAYERS))
+    assert [buf.size for buf in work.buffers] == want
 
 
 # --- transfer and persistence ---------------------------------------------------

@@ -227,9 +227,7 @@ def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.n
 
 
 def forward(
-    params: TdnnParams,
-    feats: np.ndarray | list[np.ndarray],
-    work: Workspace | None = None,
+    params: TdnnParams, feats: np.ndarray | list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(embedding, per-class cosine logits) of one (T, feat_dim) matrix;
     for a list of them, (embeddings (n, EMBED_DIM), cosines (n, classes)).
@@ -239,17 +237,15 @@ def forward(
     loss_and_grads: one GEMM per frame layer per chunk, each utterance
     pooled on its own rows, one segment6 GEMM per chunk and one cosine
     GEMM at the end. Each frame layer reads only the layer before it, so
-    the call takes just three buffers from work, sized for its largest
-    chunk: the stream and two that the layers of every chunk use in turn.
-    Without a work, the call creates its own; the returned arrays never
-    alias it.
+    the call takes just three buffers from its own Workspace, sized for
+    its largest chunk: the stream and two that the layers of every chunk
+    use in turn. The returned arrays never alias them.
     """
     batched = isinstance(feats, (list, tuple))
     utts = [_check_feats(params, f) for f in (feats if batched else [feats])]
     lengths = [len(f) for f in utts]
     chunks = _chunks(lengths)
-    if work is None:
-        work = Workspace()
+    work = Workspace()
     frames = max((sum(lengths[i] for i in chunk) for chunk in chunks), default=0)
     widest = max(max(i, o) for _, i, o in layer_dims(params.config.feat_dim))
     stream_buf = work((frames * params.config.feat_dim,))

@@ -121,24 +121,29 @@ def read_wav(data: bytes) -> Waveform:
                 )
             flat = np.frombuffer(data, dtype="<i2", count=chunk_size // 2, offset=body)
             frames = flat.reshape(-1, channels).T if channels > 1 else flat[np.newaxis, :]
-            return Waveform(np.ascontiguousarray(frames.astype(np.int16)), rate)
+            return Waveform(np.array(frames, dtype=np.int16, order="C"), rate)
         # skip unknown chunk; chunks are word-aligned
         pos = body + chunk_size + (chunk_size & 1)
     raise MalformedHeaderError("no data chunk found")
 
 
-def write_wav(w: Waveform) -> bytes:
-    """Encode as canonical 44-byte-header PCM WAVE; ``read_wav`` inverts it."""
-    interleaved = np.ascontiguousarray(w.samples.T.astype("<i2"))
-    payload = interleaved.tobytes()
+def write_wav(w: Waveform) -> bytearray:
+    """Encode as canonical 44-byte-header PCM WAVE; ``read_wav`` inverts it.
+
+    The samples are interleaved straight into the returned buffer, which
+    is the only copy of them made."""
     channels = w.channels
+    payload_size = 2 * w.samples.size
     byte_rate = w.sample_rate * channels * 2
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + payload_size) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH", 16, 1, channels, w.sample_rate, byte_rate, channels * 2, 16
     )
-    header += b"data" + struct.pack("<I", len(payload))
-    return header + payload
+    header += b"data" + struct.pack("<I", payload_size)
+    out = bytearray(len(header) + payload_size)
+    out[: len(header)] = header
+    np.frombuffer(out, dtype="<i2", offset=len(header)).reshape(-1, channels)[:] = w.samples.T
+    return out
 
 
 def load_wav(path: str | Path) -> Waveform:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import shutil
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +100,16 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-def _record_audio(audio_root: Path, rec: UtteranceRecord) -> Waveform:
-    wav = load_wav(audio_root / rec.audio_path)
-    return wav.channel(rec.channel_index) if rec.channel_index is not None else wav
+def _records_with_audio(
+    audio_root: Path, records: list[UtteranceRecord]
+) -> Iterator[tuple[UtteranceRecord, Waveform]]:
+    """Each record with its audio, in order; consecutive records that name
+    one file (the channels of an augmented utterance) share one read."""
+    path = wav = None
+    for rec in records:
+        if rec.audio_path != path:
+            path, wav = rec.audio_path, load_wav(audio_root / rec.audio_path)
+        yield rec, wav.channel(rec.channel_index) if rec.channel_index is not None else wav
 
 
 def run_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> str:
@@ -137,10 +145,9 @@ def segment_corpus(
     manifest = load_manifest(_require(manifest_path, "corpus manifest"))
     alignments = group_alignments(load_alignment(_require(alignment_path, "alignment file")))
     by_speaker: dict[str, list] = {}
-    for rec in manifest:
+    for rec, wav in _records_with_audio(audio_root, manifest):
         if rec.utterance_id not in alignments:
             raise PipelineError(f"no alignment entries for utterance {rec.utterance_id!r}")
-        wav = _record_audio(audio_root, rec)
         segs = extract_segments(
             wav, alignments[rec.utterance_id], rec.speaker_id, silence_labels
         )
@@ -259,8 +266,7 @@ def featurize_corpus(
         plain = stack.enter_context(ArchiveWriter(out_base))
         masked = stack.enter_context(ArchiveWriter(train_base)) if specaug is not None else None
         for records, audio_root in manifests:
-            for rec in records:
-                wav = _record_audio(audio_root, rec)
+            for rec, wav in _records_with_audio(audio_root, records):
                 feats = compute_fbank(wav, work)
                 if alignments is not None:
                     win, shift = frame_sizes(wav.sample_rate)

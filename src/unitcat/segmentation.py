@@ -150,38 +150,38 @@ def library_stats(lib: UnitLibrary, target_units: tuple[str, ...]) -> LibrarySta
 # --- persistence --------------------------------------------------------
 #
 # A library is stored as <dir>/<speaker>/segments.tsv with columns
-# speaker, unit, source, start_sample, end_sample, plus one sliced WAV per
-# row at <dir>/<speaker>/wav/<unit>_<source>_<start>_<end>.wav.
-
-
-def _segment_wav_name(unit: str, source: str, start: int, end: int) -> str:
-    return f"{unit}_{source}_{start}_{end}.wav"
+# speaker, unit, source, start_sample, end_sample, plus
+# <dir>/<speaker>/segments.wav, a mono WAV holding every row's samples back
+# to back in row order: row k is the end - start samples that follow rows
+# 0..k-1. A library with no rows has no segments.wav.
 
 
 def save_library(libdir: str | Path, lib: UnitLibrary) -> Path:
     speaker_dir = Path(libdir) / lib.speaker_id
-    wav_dir = speaker_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for unit, segs in lib.table.items():
-        for s in segs:
-            lines.append(
-                f"{s.speaker_id}\t{unit}\t{s.source_utterance}"
-                f"\t{s.start_sample}\t{s.end_sample}"
+    speaker_dir.mkdir(parents=True, exist_ok=True)
+    rows = [(unit, s) for unit, segs in lib.table.items() for s in segs]
+    if rows:
+        rates = {s.sample_rate for _, s in rows}
+        if len(rates) != 1:
+            raise SegmentationError(
+                f"speaker {lib.speaker_id!r}: segments with mixed sample rates {sorted(rates)}"
             )
-            name = _segment_wav_name(s.unit, s.source_utterance, s.start_sample, s.end_sample)
-            save_wav(wav_dir / name, Waveform(s.samples, s.sample_rate))
+        samples = np.concatenate([s.samples for _, s in rows])
+        save_wav(speaker_dir / "segments.wav", Waveform(samples, rates.pop()))
     (speaker_dir / "segments.tsv").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
+        "".join(
+            f"{s.speaker_id}\t{unit}\t{s.source_utterance}\t{s.start_sample}\t{s.end_sample}\n"
+            for unit, s in rows
+        ),
+        encoding="utf-8",
     )
     return speaker_dir
 
 
 def load_library(speaker_dir: str | Path) -> UnitLibrary:
     speaker_dir = Path(speaker_dir)
-    table: dict[str, list[UnitSegment]] = {}
-    speaker_id = speaker_dir.name
     manifest = speaker_dir / "segments.tsv"
+    rows = []
     for lineno, line in enumerate(
         manifest.read_text(encoding="utf-8").splitlines(), start=1
     ):
@@ -193,13 +193,38 @@ def load_library(speaker_dir: str | Path) -> UnitLibrary:
                 f"{manifest}:{lineno}: expected 5 fields, got {len(fields)}"
             )
         spk, unit, source, start_s, end_s = fields
-        start, end = int(start_s), int(end_s)
-        seg_wav = load_wav(speaker_dir / "wav" / _segment_wav_name(unit, source, start, end))
-        table.setdefault(unit, []).append(
-            UnitSegment(spk, unit, source, start, end, seg_wav.mono(), seg_wav.sample_rate)
+        rows.append((spk, unit, source, int(start_s), int(end_s)))
+    if not rows:
+        return UnitLibrary(speaker_id=speaker_dir.name, table={})
+
+    wav_path = speaker_dir / "segments.wav"
+    if not wav_path.is_file():
+        raise SegmentationError(
+            f"{wav_path} is missing, though {manifest} lists {len(rows)} segments (a "
+            "library in the older layout keeps one WAV per segment under wav/); "
+            "rerun `unitcat segment`"
         )
-        speaker_id = spk
-    return UnitLibrary(speaker_id=speaker_id, table=table)
+    audio = load_wav(wav_path)
+    if audio.channels != 1:
+        raise SegmentationError(f"{wav_path}: expected mono, got {audio.channels} channels")
+    expected = sum(end - start for _, _, _, start, end in rows)
+    if audio.num_samples != expected:
+        raise SegmentationError(
+            f"{wav_path} holds {audio.num_samples} samples, but the {len(rows)} rows "
+            f"of {manifest} sum to {expected}"
+        )
+    samples = audio.mono()
+    table: dict[str, list[UnitSegment]] = {}
+    offset = 0
+    for spk, unit, source, start, end in rows:
+        # a copy per segment, not a view of the file's one array: small
+        # arrays refill the holes that segmenting leaves in the heap
+        piece = samples[offset : offset + end - start].copy()
+        table.setdefault(unit, []).append(
+            UnitSegment(spk, unit, source, start, end, piece, audio.sample_rate)
+        )
+        offset += end - start
+    return UnitLibrary(speaker_id=rows[-1][0], table=table)
 
 
 def list_library_speakers(libdir: str | Path) -> list[str]:

@@ -281,9 +281,14 @@ def augment_corpus(
     """Write noisy / reverberant copies of a manifest's utterances.
 
     One copy per (utterance, SNR) plus one reverb copy per utterance when
-    RIRs are given. Noise and RIR files are chosen by per-utterance seeded
-    draws, so output is deterministic. Returns the augmented records and
-    the per-copy report rows (clipped-sample counts included).
+    RIRs are given. All copies of one utterance go to one WAV,
+    wav/<utterance_id>.wav, one channel per copy: the noisy copies in
+    snr_list order, then the reverberant one. The augmented manifest names
+    each copy's channel in its channel index column. Copies that differ in
+    length or rate are refused before their file is written. Noise and
+    RIR files are chosen by per-utterance seeded draws, so output is
+    deterministic. Returns the augmented records and the per-copy report
+    rows (clipped-sample counts included).
     """
     audio_root = Path(audio_root)
     out_dir = Path(out_dir)
@@ -309,10 +314,22 @@ def augment_corpus(
             kernel = kernels[pick_rng.next_below(len(kernels))]
             reverbed = _convolve_rir_core(speech, kernel)
             copies.append((f"{rec.utterance_id}-reverb", "reverb", None, reverbed))
-        for new_id, kind, snr, (wave, clipped) in copies:
-            path = f"wav/{new_id}.wav"
-            save_wav(out_dir / path, wave)
-            out_records.append(UtteranceRecord(new_id, rec.speaker_id, rec.transcript, path))
+        if not copies:
+            continue
+        waves = [wave for *_, (wave, _) in copies]
+        shapes = {(w.sample_rate, w.num_samples) for w in waves}
+        if len(shapes) != 1:
+            raise AugmentError(
+                f"utterance {rec.utterance_id!r}: copies differ in (rate, samples): "
+                f"{sorted(shapes)}"
+            )
+        path = f"wav/{rec.utterance_id}.wav"
+        channels = np.stack([w.mono() for w in waves])
+        save_wav(out_dir / path, Waveform(channels, waves[0].sample_rate))
+        for channel, (new_id, kind, snr, (_, clipped)) in enumerate(copies):
+            out_records.append(
+                UtteranceRecord(new_id, rec.speaker_id, rec.transcript, path, channel)
+            )
             report.append(AugmentationRow(new_id, kind, snr, clipped))
     save_manifest(out_dir / "manifest.tsv", out_records)
     report_lines = [

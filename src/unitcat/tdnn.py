@@ -531,48 +531,46 @@ def average_embeddings(embeddings: list[np.ndarray]) -> np.ndarray:
 
 
 def save_params(path: str | Path, params: TdnnParams) -> None:
+    arrays = {
+        name: np.ascontiguousarray(np.atleast_2d(np.asarray(t, dtype="<f8")))
+        for name, t in params.tensors.items()
+    }
     header = [
         f"{PARAMS_MAGIC} {PARAMS_VERSION} {params.config.num_classes} "
-        f"{params.config.feat_dim} {len(params.tensors)}"
+        f"{params.config.feat_dim} {len(arrays)}"
     ]
-    blobs = []
-    for name, t in params.tensors.items():
-        arr = np.ascontiguousarray(np.atleast_2d(np.asarray(t, dtype="<f8")))
-        header.append(f"{name} {arr.shape[0]} {arr.shape[1]}")
-        blobs.append(arr.tobytes())
+    header += [f"{name} {arr.shape[0]} {arr.shape[1]}" for name, arr in arrays.items()]
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "wb") as fh:
         fh.write(("\n".join(header) + "\n\n").encode("utf-8"))
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays.values():
+            fh.write(arr)
 
 
 def load_params(path: str | Path) -> TdnnParams:
-    data = Path(path).read_bytes()
-    sep = data.find(b"\n\n")
-    if sep < 0:
-        raise ValueError(f"{path}: missing parameter header")
-    lines = data[:sep].decode("utf-8").splitlines()
-    magic = lines[0].split()
-    if len(magic) != 5 or magic[0] != PARAMS_MAGIC:
-        raise ValueError(f"{path}: not a parameter file")
-    if int(magic[1]) != PARAMS_VERSION:
-        raise ValueError(f"{path}: unsupported version {magic[1]}")
-    num_classes, feat_dim, count = int(magic[2]), int(magic[3]), int(magic[4])
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header declares {count} tensors, lists {len(lines) - 1}")
-    tensors: dict[str, np.ndarray] = {}
-    offset = sep + 2
-    for line in lines[1:]:
-        name, rows_s, cols_s = line.split()
-        rows, cols = int(rows_s), int(cols_s)
-        nbytes = rows * cols * 8
-        if offset + nbytes > len(data):
-            raise ValueError(f"{path}: truncated payload for tensor {name}")
-        arr = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=offset)
-        tensors[name] = arr.reshape(rows, cols).copy()
-        offset += nbytes
+    """Each tensor is read from the file straight into its own array."""
+    with open(path, "rb") as fh:
+        lines = []
+        while (line := fh.readline()) != b"\n":
+            if not line:
+                raise ValueError(f"{path}: missing parameter header")
+            lines.append(line.decode("utf-8").rstrip("\n"))
+        magic = lines[0].split() if lines else []
+        if len(magic) != 5 or magic[0] != PARAMS_MAGIC:
+            raise ValueError(f"{path}: not a parameter file")
+        if int(magic[1]) != PARAMS_VERSION:
+            raise ValueError(f"{path}: unsupported version {magic[1]}")
+        num_classes, feat_dim, count = int(magic[2]), int(magic[3]), int(magic[4])
+        if len(lines) - 1 != count:
+            raise ValueError(f"{path}: header declares {count} tensors, lists {len(lines) - 1}")
+        tensors: dict[str, np.ndarray] = {}
+        for line in lines[1:]:
+            name, rows_s, cols_s = line.split()
+            arr = np.empty((int(rows_s), int(cols_s)), dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: truncated payload for tensor {name}")
+            tensors[name] = arr
     for name in list(tensors):
         if name.endswith(".b"):
             tensors[name] = tensors[name].reshape(-1)

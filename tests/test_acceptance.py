@@ -91,15 +91,19 @@ def test_criterion_1_synthesis_bytes(tmp_path):
             line.split("\t")[0]: line.split("\t")[1]
             for line in corpus.manifest_path.read_text().splitlines()
         }
-        # segments.tsv row order per unit is the candidate order a plan indexes
-        candidates: dict[str, dict[str, list[str]]] = {}
+        # segments.tsv row order per unit is the candidate order a plan
+        # indexes; each row's slice follows the previous rows' in segments.wav
+        candidates: dict[str, dict[str, list[bytes]]] = {}
         for spk in sorted(p.name for p in libdir.iterdir()):
-            per_unit: dict[str, list[str]] = {}
-            for line in (libdir / spk / "segments.tsv").read_text().splitlines():
-                row_spk, unit, source, start, end = line.split("\t")
-                assert row_spk == spk
-                assert speaker_of[source] == spk  # purity: own recordings only
-                per_unit.setdefault(unit, []).append(f"{unit}_{source}_{start}_{end}.wav")
+            per_unit: dict[str, list[bytes]] = {}
+            with wave.open(str(libdir / spk / "segments.wav"), "rb") as f:
+                assert f.getnchannels() == 1 and f.getsampwidth() == 2
+                for line in (libdir / spk / "segments.tsv").read_text().splitlines():
+                    row_spk, unit, source, start, end = line.split("\t")
+                    assert row_spk == spk
+                    assert speaker_of[source] == spk  # purity: own recordings only
+                    per_unit.setdefault(unit, []).append(f.readframes(int(end) - int(start)))
+                assert f.tell() == f.getnframes()
             candidates[spk] = per_unit
 
         synth_counts: dict[str, int] = {}
@@ -108,7 +112,7 @@ def test_criterion_1_synthesis_bytes(tmp_path):
             utt_id, speaker, transcript, choices, _seed = line.split("\t")
             synth_counts[speaker] = synth_counts.get(speaker, 0) + 1
             expected = b"".join(
-                _wav_payload(libdir / speaker / "wav" / candidates[speaker][unit][int(pick)])
+                candidates[speaker][unit][int(pick)]
                 for unit, pick in zip(transcript.split(), choices.split())
             )
             assert _wav_payload(synth_dir / "wav" / f"{utt_id}.wav") == expected

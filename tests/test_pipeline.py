@@ -5,6 +5,8 @@ from unitcat import pipeline
 from unitcat.audio import save_wav, Waveform
 from unitcat.archive import read_archive, write_archive
 from unitcat.config import ConfigError, validate_config
+from unitcat.corpus import UtteranceRecord, load_manifest, save_manifest
+from unitcat.features import SpecAugmentParams
 from unitcat.pipeline import (
     STAGES,
     PipelineError,
@@ -213,6 +215,98 @@ def test_augmented_copies_flow_into_features(tmp_path):
     feats = read_archive(out / "features" / "features")
     assert len(feats) == 9 + 18
     assert any(utt.endswith("-noise10") for utt in feats)
+
+
+@pytest.fixture(scope="module")
+def augmented_run(tmp_path_factory):
+    """The prep stages of a toy run with a noise file, two SNRs and an RIR."""
+    base = tmp_path_factory.mktemp("aug")
+    corpus = base / "corpus"
+    make_toy_corpus(corpus, default_speaker_specs(2))
+    rng = np.random.default_rng(1)
+    save_wav(
+        base / "noises" / "babble.wav",
+        Waveform(rng.integers(-2000, 2000, size=8000, dtype=np.int16), 16000),
+    )
+    rir = np.zeros(400, dtype=np.int16)
+    rir[0], rir[120] = 20000, 6000
+    save_wav(base / "rirs" / "room.wav", Waveform(rir, 16000))
+    out = base / "out"
+    cfg = validate_config(
+        "[paths]\n"
+        f"corpus_dir = {corpus}\n"
+        f"out_dir = {out}\n"
+        f"noise_dir = {base / 'noises'}\n"
+        f"rir_dir = {base / 'rirs'}\n"
+        "[synthesis]\n"
+        "transcript = ni hao mi ya\n"
+        "seed = 11\n"
+        "[augment]\n"
+        "snr_list = 0, 10\n"
+    )
+    run_pipeline(cfg, ("segment", "synth", "augment", "featurize"))
+    return cfg, out
+
+
+def test_run_writes_one_wav_per_library_and_per_augmented_utterance(augmented_run):
+    _, out = augmented_run
+    libs = out / "libraries"
+    speakers = sorted(p.name for p in libs.iterdir())
+    assert speakers == ["spk0", "spk1"]
+    wavs = sorted(p.relative_to(libs).as_posix() for p in libs.rglob("*.wav"))
+    assert wavs == [f"{spk}/segments.wav" for spk in speakers]
+    assert not any((libs / spk / "wav").exists() for spk in speakers)
+
+    synth_ids = [r.utterance_id for r in load_manifest(out / "synth" / "manifest.tsv")]
+    augmented = out / "augmented"
+    wavs = sorted(p.relative_to(augmented).as_posix() for p in augmented.rglob("*.wav"))
+    assert wavs == sorted(f"wav/{utt}.wav" for utt in synth_ids)
+    records = load_manifest(augmented / "manifest.tsv")
+    assert [(r.audio_path, r.channel_index) for r in records] == [
+        (f"wav/{utt}.wav", channel) for utt in synth_ids for channel in range(3)
+    ]
+
+
+def test_featurize_reads_each_audio_file_once(augmented_run, monkeypatch, tmp_path):
+    cfg, out = augmented_run
+    loaded = []
+    real_load_wav = pipeline.load_wav
+
+    def counting_load_wav(path):
+        loaded.append(path)
+        return real_load_wav(path)
+
+    monkeypatch.setattr(pipeline, "load_wav", counting_load_wav)
+    sources = pipeline._corpus_sources(out)
+    lines = pipeline.featurize_corpus(sources, tmp_path / "features", cfg.cmn_window, None, 0)
+    paths = [root / r.audio_path for manifest, root in sources for r in load_manifest(manifest)]
+    assert lines[0] == f"utterances: {len(paths)}" == "utterances: 36"
+    # 9 synthesized files, then 9 packed files of three copies each
+    assert len(set(paths)) == 18
+    assert sorted(loaded) == sorted(set(paths))
+
+
+def test_packed_copies_featurize_as_one_file_per_copy(augmented_run, tmp_path):
+    cfg, out = augmented_run
+    augmented = out / "augmented"
+    # the same copies, each written to its own mono file
+    split = tmp_path / "split"
+    records = []
+    for rec in load_manifest(augmented / "manifest.tsv"):
+        packed = pipeline.load_wav(augmented / rec.audio_path)
+        path = f"wav/{rec.utterance_id}.wav"
+        channel = packed.samples[rec.channel_index].copy()
+        save_wav(split / path, Waveform(channel, packed.sample_rate))
+        records.append(UtteranceRecord(rec.utterance_id, rec.speaker_id, rec.transcript, path))
+    save_manifest(split / "manifest.tsv", records)
+    specaug = SpecAugmentParams(4, 1, 6, 1)
+    for name, root in (("packed", augmented), ("split", split)):
+        pipeline.featurize_corpus(
+            [(root / "manifest.tsv", root)], tmp_path / name / "feats", cfg.cmn_window, specaug, 3
+        )
+    for archive in ("feats.tsv", "feats.bin", "train.tsv", "train.bin"):
+        packed_bytes = (tmp_path / "packed" / archive).read_bytes()
+        assert packed_bytes == (tmp_path / "split" / archive).read_bytes()
 
 
 def test_spec_augment_creates_separate_training_archive(tmp_path):

@@ -1,10 +1,79 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
+from unitcat.audio import Waveform, save_wav
+from unitcat.config import validate_config
+from unitcat.pipeline import run_pipeline
+from unitcat.toydata import default_speaker_specs, make_toy_corpus
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def test_readme_library_imports_run():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     assert len(blocks) == 1
     assert "import" in blocks[0]
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def _artifact_table() -> list[tuple[str, str, list[str]]]:
+    """(stage, written path, file names in the contents column) per row of
+    the README's artifacts table; <name> placeholders become '*'."""
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("## Pipeline stages and artifacts", 1)[1].split("\n#", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or cells[0] in ("stage", "---"):
+            continue
+        stage, writes, contents = cells
+        (written,) = re.findall(r"`([^`]+)`", writes)
+        # file names: backquoted, no spaces, with a suffix or a directory
+        names = [n for n in re.findall(r"`([^` ]+)`", contents) if "." in n or "/" in n]
+        rows.append((stage, re.sub(r"<\w+>", "*", written), [re.sub(r"<\w+>", "*", n) for n in names]))
+    return rows
+
+
+def test_toy_run_writes_every_file_the_readme_artifacts_table_lists(tmp_path):
+    rows = _artifact_table()
+    assert [stage for stage, _, _ in rows] == [
+        "segment", "synth", "augment", "featurize", "train", "extract", "score", "eval"
+    ]
+    corpus = tmp_path / "corpus"
+    make_toy_corpus(corpus, default_speaker_specs(2))
+    rng = np.random.default_rng(1)
+    save_wav(
+        tmp_path / "noises" / "babble.wav",
+        Waveform(rng.integers(-2000, 2000, size=8000, dtype=np.int16), 16000),
+    )
+    save_wav(tmp_path / "rirs" / "room.wav", Waveform(np.array([20000, 0, 6000], np.int16), 16000))
+    out = tmp_path / "out"
+    run_pipeline(validate_config(
+        "[paths]\n"
+        f"corpus_dir = {corpus}\n"
+        f"out_dir = {out}\n"
+        f"noise_dir = {tmp_path / 'noises'}\n"
+        f"rir_dir = {tmp_path / 'rirs'}\n"
+        "[synthesis]\n"
+        "transcript = ni hao mi ya\n"
+        "seed = 5\n"
+        "[augment]\n"
+        "snr_list = 0, 10\n"
+        "[features]\n"
+        "spec_augment = true\n"
+        "[train]\n"
+        "steps = 2\n"
+    ))
+    missing = []
+    for stage, written, names in rows:
+        assert written.startswith("out/"), (stage, written)
+        matches = sorted(out.glob(written.removeprefix("out/").rstrip("/")))
+        if not matches:
+            missing.append(written)
+        for name in names:
+            if not any(m.is_dir() and list(m.glob(name)) for m in matches):
+                missing.append(f"{written} {name}")
+    assert missing == []

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitcat.audio import Waveform
+from unitcat.audio import Waveform, load_wav, save_wav
 from unitcat.corpus import AlignmentEntry
 from unitcat.segmentation import (
     SegmentationError,
+    UnitLibrary,
     UnitSegment,
     build_library,
     extract_segments,
@@ -231,6 +234,72 @@ def test_library_roundtrip(tmp_path):
         for a, b in zip(orig, loaded):
             assert np.array_equal(a.samples, b.samples)
             assert a.sample_rate == b.sample_rate
+
+
+def _saved_library(tmp_path):
+    segs = [
+        _segment("spk3", "ni", "a", 0, 12, seed=3),
+        _segment("spk3", "hao", "a", 12, 30, seed=5),
+        _segment("spk3", "ni", "b", 4, 20, seed=4),
+    ]
+    return save_library(tmp_path, build_library(segs, UNITS)), segs
+
+
+def test_library_is_one_mono_wav_in_row_order(tmp_path):
+    speaker_dir, segs = _saved_library(tmp_path)
+    assert sorted(p.name for p in speaker_dir.iterdir()) == ["segments.tsv", "segments.wav"]
+    rows = [line.split("\t") for line in (speaker_dir / "segments.tsv").read_text().splitlines()]
+    # rows go unit by unit, each unit's segments in source order
+    assert [(r[1], r[2]) for r in rows] == [("ni", "a"), ("ni", "b"), ("hao", "a")]
+    audio = load_wav(speaker_dir / "segments.wav")
+    assert audio.channels == 1 and audio.sample_rate == 16000
+    by_row = [segs[0], segs[2], segs[1]]
+    assert np.array_equal(audio.mono(), np.concatenate([s.samples for s in by_row]))
+
+
+@pytest.mark.parametrize("extra", [-1, 2])
+def test_load_library_refuses_a_wav_that_does_not_hold_its_rows(tmp_path, extra):
+    speaker_dir, _ = _saved_library(tmp_path)
+    wav = speaker_dir / "segments.wav"
+    samples = load_wav(wav).mono()
+    save_wav(wav, Waveform(np.resize(samples, len(samples) + extra), 16000))
+    message = f"{re.escape(str(wav))} holds {46 + extra} samples, but the 3 rows of .* sum to 46"
+    with pytest.raises(SegmentationError, match=message):
+        load_library(speaker_dir)
+
+
+def test_load_library_refuses_a_multichannel_wav(tmp_path):
+    speaker_dir, _ = _saved_library(tmp_path)
+    save_wav(speaker_dir / "segments.wav", Waveform(np.zeros((2, 46), dtype=np.int16), 16000))
+    with pytest.raises(SegmentationError, match="segments.wav: expected mono, got 2 channels"):
+        load_library(speaker_dir)
+
+
+def test_load_library_asks_for_a_new_segment_run_on_the_per_segment_layout(tmp_path):
+    speaker_dir, segs = _saved_library(tmp_path)
+    # the earlier layout: the same rows, one WAV per segment under wav/
+    (speaker_dir / "segments.wav").unlink()
+    for s in segs:
+        name = f"{s.unit}_{s.source_utterance}_{s.start_sample}_{s.end_sample}.wav"
+        save_wav(speaker_dir / "wav" / name, Waveform(s.samples, s.sample_rate))
+    with pytest.raises(SegmentationError, match="rerun `unitcat segment`"):
+        load_library(speaker_dir)
+
+
+def test_empty_library_round_trips_without_a_wav(tmp_path):
+    speaker_dir = save_library(tmp_path, UnitLibrary(speaker_id="spk9", table={}))
+    assert [p.name for p in speaker_dir.iterdir()] == ["segments.tsv"]
+    assert (speaker_dir / "segments.tsv").read_text() == ""
+    back = load_library(speaker_dir)
+    assert (back.speaker_id, back.table) == ("spk9", {})
+
+
+def test_save_library_refuses_mixed_rates(tmp_path):
+    segs = [_segment("spk", "ni", "a", 0, 8), _segment("spk", "ni", "b", 0, 8, rate=8000)]
+    lib = UnitLibrary("spk", {"ni": segs})
+    with pytest.raises(SegmentationError, match="mixed sample rates"):
+        save_library(tmp_path, lib)
+    assert not (tmp_path / "spk" / "segments.wav").exists()
 
 
 def test_list_library_speakers_empty_and_sorted(tmp_path):

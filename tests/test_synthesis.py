@@ -390,6 +390,7 @@ def test_augment_corpus_loads_each_file_once(tmp_path, monkeypatch):
 def test_augment_corpus_end_to_end(tmp_path):
     from unitcat.audio import save_wav
     from unitcat.corpus import UtteranceRecord
+    from unitcat.rng import derive_seed
 
     rng = np.random.default_rng(0)
     root = tmp_path / "corpus"
@@ -431,7 +432,20 @@ def test_augment_corpus_end_to_end(tmp_path):
         "u1-noise10",
         "u1-reverb",
     ]
-    assert all((out_dir / r.audio_path).is_file() for r in out_records)
+    # one file per source utterance, one channel per copy in id order
+    assert [(r.audio_path, r.channel_index) for r in out_records] == [
+        (f"wav/u{i}.wav", k) for i in range(2) for k in range(3)
+    ]
+    assert sorted(p.name for p in (out_dir / "wav").iterdir()) == ["u0.wav", "u1.wav"]
+    for name in ("u1.wav", "u0.wav"):
+        packed = read_wav((out_dir / "wav" / name).read_bytes())
+        assert (packed.channels, packed.num_samples, packed.sample_rate) == (3, 800, 16000)
+    # u0's channels hold what the one-copy functions make
+    u0 = read_wav((root / "wav/u0.wav").read_bytes())
+    noise = read_wav((noise_dir / "n0.wav").read_bytes())
+    mix_seed = derive_seed(77, "noise-mix", "u0", str(10.0))
+    assert np.array_equal(packed.samples[1], mix_noise(u0, noise, 10.0, mix_seed).mono())
+    assert np.array_equal(packed.samples[2], convolve_rir(u0, rir / 32768.0).mono())
     assert [r.kind for r in rows] == ["noise", "noise", "reverb"] * 2
     assert (out_dir / "augment_report.tsv").is_file()
     assert (out_dir / "manifest.tsv").is_file()
@@ -472,4 +486,32 @@ def test_augment_corpus_refuses_an_unpicked_bad_noise_file_before_writing(tmp_pa
     out_dir = tmp_path / "aug"
     with pytest.raises(AugmentError, match=message):
         augment_corpus(records, tmp_path, out_dir, 5, noise_paths, [0.0])
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("change", ["length", "rate"])
+def test_augment_corpus_refuses_copies_that_do_not_fit_one_file(tmp_path, monkeypatch, change):
+    import unitcat.synthesis as synthesis
+    from unitcat.audio import save_wav
+    from unitcat.corpus import UtteranceRecord
+
+    rng = np.random.default_rng(3)
+    save_wav(tmp_path / "wav" / "u0.wav", Waveform(rng.integers(-3000, 3000, 800, np.int16), 16000))
+    records = [UtteranceRecord("u0", "spk0", ("ni",), "wav/u0.wav")]
+    save_wav(tmp_path / "noise.wav", Waveform(rng.integers(-3000, 3000, 500, np.int16), 16000))
+    save_wav(tmp_path / "rir.wav", Waveform(np.array([20000, 3000], np.int16), 16000))
+    real_convolve = synthesis._convolve_rir_core
+
+    def misfit_convolve(speech, rir):
+        wave, clipped = real_convolve(speech, rir)
+        if change == "length":
+            return Waveform(wave.samples[:, :-1].copy(), wave.sample_rate), clipped
+        return Waveform(wave.samples, 8000), clipped
+
+    monkeypatch.setattr(synthesis, "_convolve_rir_core", misfit_convolve)
+    out_dir = tmp_path / "aug"
+    with pytest.raises(AugmentError, match="'u0': copies differ in"):
+        augment_corpus(
+            records, tmp_path, out_dir, 5, [tmp_path / "noise.wav"], [0.0], [tmp_path / "rir.wav"]
+        )
     assert not out_dir.exists()

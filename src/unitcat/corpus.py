@@ -1,4 +1,4 @@
-"""Corpus metadata: alignment files, VAD labels, utterance manifests.
+"""Corpus metadata: alignment files and utterance manifests.
 
 Alignment files are CTM-like text, five whitespace-separated fields per
 line: utterance_id channel start duration unit. Manifests are TSV with
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 DEFAULT_SILENCE_LABELS = frozenset({"sil", "spn"})
 
@@ -38,21 +36,6 @@ class AlignmentEntry:
     @property
     def end(self) -> float:
         return self.start + self.duration
-
-
-@dataclass
-class VadLabels:
-    """Per-frame speech flags under a fixed framing."""
-
-    flags: np.ndarray
-    frame_shift: float
-    frame_width: float
-
-    def __post_init__(self) -> None:
-        self.flags = np.asarray(self.flags, dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.flags)
 
 
 @dataclass
@@ -124,37 +107,6 @@ def check_non_overlapping(entries: list[AlignmentEntry]) -> None:
                 f"utterance {cur.utterance_id!r}: entry {cur.unit!r} at {cur.start} "
                 f"overlaps {prev.unit!r} ending at {prev.end}"
             )
-
-
-# --- VAD ----------------------------------------------------------------
-
-
-def derive_vad(
-    entries: list[AlignmentEntry],
-    frame_shift: float,
-    frame_width: float,
-    num_frames: int,
-    silence_labels: frozenset[str] | set[str] = DEFAULT_SILENCE_LABELS,
-) -> VadLabels:
-    """Frame-level speech flags from an utterance's alignment.
-
-    Frame t is speech iff its center time t*shift + width/2 falls inside
-    [start, end) of some entry whose unit is not a silence label. Frames
-    past the last entry come out non-speech. num_frames must match the
-    frame count of the feature framing the labels will be paired with.
-    """
-    if frame_shift <= 0 or frame_width <= 0:
-        raise ValueError("frame_shift and frame_width must be positive")
-    if num_frames < 0:
-        raise ValueError(f"num_frames must be >= 0, got {num_frames}")
-    check_non_overlapping(entries)
-    centers = np.arange(num_frames) * frame_shift + frame_width / 2
-    flags = np.zeros(num_frames, dtype=bool)
-    for e in entries:
-        if e.unit in silence_labels:
-            continue
-        flags |= (centers >= e.start) & (centers < e.end)
-    return VadLabels(flags, frame_shift, frame_width)
 
 
 # --- manifests ----------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Front-end features: log mel filterbank, VAD filtering, sliding mean
-normalization, and time/frequency masking.
+"""Front-end features: log mel filterbank, VAD from alignments, sliding
+mean normalization, and time/frequency masking.
 
 Feature matrices are plain float64 arrays of shape (frames, 40) computed
-with a 10 ms shift and 25 ms window; files store them as float32.
+with a 10 ms shift and 25 ms window; files store them as float32. VAD
+flags come from the same sample grid as the fbank frames, so they pair
+row for row at every sample rate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Waveform
-from .corpus import VadLabels
+from .corpus import DEFAULT_SILENCE_LABELS, AlignmentEntry, check_non_overlapping
 from .rng import SplitMix64
 from .workspace import Workspace
 
@@ -125,11 +127,35 @@ def compute_fbank(w: Waveform, work: Workspace | None = None) -> np.ndarray:
     return np.log(np.maximum(energies, ENERGY_FLOOR, out=energies))
 
 
-def apply_vad_filter(f: np.ndarray, v: VadLabels) -> np.ndarray:
-    """Keep rows flagged as speech, order preserved."""
-    if len(f) != len(v.flags):
-        raise ValueError(f"{len(f)} feature frames but {len(v.flags)} VAD flags")
-    return f[v.flags]
+def derive_vad(
+    entries: list[AlignmentEntry],
+    num_samples: int,
+    sample_rate: int,
+    silence_labels: frozenset[str] | set[str] = DEFAULT_SILENCE_LABELS,
+) -> np.ndarray:
+    """Speech flag of each compute_fbank frame of num_samples at sample_rate.
+
+    Frame t is speech iff its center, sample t*shift + win/2 of
+    frame_sizes(sample_rate), lies inside [start, end) of some entry whose
+    unit is not a silence label. Frames past the last entry come out
+    non-speech.
+    """
+    check_non_overlapping(entries)
+    win, shift = frame_sizes(sample_rate)
+    num_frames = frame_count(num_samples, win, shift)
+    centers = (np.arange(num_frames) * shift + win / 2) / sample_rate
+    flags = np.zeros(num_frames, dtype=bool)
+    for e in entries:
+        if e.unit not in silence_labels:
+            flags |= (centers >= e.start) & (centers < e.end)
+    return flags
+
+
+def apply_vad_filter(f: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Keep the rows whose bool flag is set, order preserved."""
+    if len(f) != len(flags):
+        raise ValueError(f"{len(f)} feature frames but {len(flags)} VAD flags")
+    return f[flags]
 
 
 def sliding_mean_normalize(f: np.ndarray, window: int = CMN_WINDOW) -> np.ndarray:

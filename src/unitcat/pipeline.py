@@ -25,19 +25,15 @@ from .config import ConfigError, PipelineConfig
 from .corpus import (
     DEFAULT_SILENCE_LABELS,
     UtteranceRecord,
-    derive_vad,
     group_alignments,
     load_alignment,
     load_manifest,
 )
 from .features import (
-    FRAME_SHIFT_S,
-    FRAME_WIDTH_S,
     SpecAugmentParams,
     apply_vad_filter,
     compute_fbank,
-    frame_count,
-    frame_sizes,
+    derive_vad,
     sliding_mean_normalize,
     spec_augment,
 )
@@ -269,13 +265,7 @@ def featurize_corpus(
             for rec, wav in _records_with_audio(audio_root, records):
                 feats = compute_fbank(wav, work)
                 if alignments is not None:
-                    win, shift = frame_sizes(wav.sample_rate)
-                    vad = derive_vad(
-                        alignments[rec.utterance_id],
-                        FRAME_SHIFT_S,
-                        FRAME_WIDTH_S,
-                        frame_count(wav.num_samples, win, shift),
-                    )
+                    vad = derive_vad(alignments[rec.utterance_id], wav.num_samples, wav.sample_rate)
                     feats = apply_vad_filter(feats, vad)
                     if not len(feats):
                         # known only now: the check above reads labels, not audio lengths
@@ -333,10 +323,7 @@ def train_model(
             f"{len(short)} have fewer: {', '.join(short[:5])}"
         )
     class_index = {s: i for i, s in enumerate(speakers)}
-    batch = [
-        (records[0].astype(np.float64), class_index[speaker_of[utt_id]])
-        for utt_id, records in archive.items()
-    ]
+    batch = [(records[0], class_index[speaker_of[utt_id]]) for utt_id, records in archive.items()]
 
     params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init"))
     aam = AamParams()

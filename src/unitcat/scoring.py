@@ -120,17 +120,16 @@ def sweep_rates(s: ScoreSet) -> list[tuple[float, float, float]]:
 
 def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
     # d starts at +1 and ends at -1; the first segment with d0 >= 0 >= d1
-    # holds the crossing
+    # holds the crossing, and there d0 > 0: a zero d0 would need a negative
+    # d before it, hence an earlier crossing
     d = far - frr
     crossings = np.flatnonzero((d[:-1] >= 0) & (d[1:] <= 0))
     if len(crossings) == 0:
         raise ScoringError("no FAR/FRR crossing found")  # unreachable for valid sets
     k = int(crossings[0])
     t0, t1 = float(thresholds[k]), float(thresholds[k + 1])
-    far0, far1, frr0 = float(far[k]), float(far[k + 1]), float(frr[k])
+    far0, far1 = float(far[k]), float(far[k + 1])
     d0, d1 = float(d[k]), float(d[k + 1])
-    if d0 == d1 == 0.0:
-        return frr0, t0
     alpha = d0 / (d0 - d1)
     eer = far0 + alpha * (far1 - far0)
     if math.isinf(t0) or math.isinf(t1):

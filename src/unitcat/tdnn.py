@@ -80,9 +80,6 @@ class TdnnParams:
     config: TdnnConfig
     tensors: dict[str, np.ndarray]
 
-    def tensor_names(self) -> list[str]:
-        return list(self.tensors)
-
 
 def layer_dims(feat_dim: int = FEAT_DIM) -> list[tuple[str, int, int]]:
     """(name, spliced input dim, output dim) per frame layer."""

@@ -1,6 +1,4 @@
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from unitcat.corpus import (
     AlignmentEntry,
@@ -8,7 +6,6 @@ from unitcat.corpus import (
     ManifestError,
     UtteranceRecord,
     check_non_overlapping,
-    derive_vad,
     format_alignment,
     format_manifest,
     group_alignments,
@@ -87,89 +84,6 @@ def test_adjacent_entries_with_float_rounding_pass():
         AlignmentEntry("u", "hao", 0.3, 0.2),
     ]
     check_non_overlapping(entries)
-
-
-# --- VAD ------------------------------------------------------------------
-
-
-def test_vad_all_silence_is_all_false():
-    entries = [AlignmentEntry("u", "sil", 0.0, 1.0)]
-    vad = derive_vad(entries, 0.010, 0.025, num_frames=100)
-    assert len(vad) == 100
-    assert not vad.flags.any()
-
-
-def test_vad_frame_centers_against_entry_bounds():
-    entries = [AlignmentEntry("u", "ni", 0.0, 0.5)]
-    vad = derive_vad(entries, 0.010, 0.025, num_frames=60)
-    # frame 0 center 0.0125 is inside [0, 0.5); frame 49 center 0.5025 is not
-    assert bool(vad.flags[0]) is True
-    assert bool(vad.flags[48]) is True
-    assert bool(vad.flags[49]) is False
-    assert not vad.flags[49:].any()
-
-
-def test_vad_end_exclusive():
-    # exact binary times: shift 1/64, width 1/32, so center_t = (t + 1) / 64;
-    # an entry ending exactly on a center must exclude that frame
-    entries = [AlignmentEntry("u", "ni", 0.0, 5 / 64)]
-    vad = derive_vad(entries, 1 / 64, 1 / 32, num_frames=8)
-    assert bool(vad.flags[3]) is True
-    assert bool(vad.flags[4]) is False
-
-
-def test_vad_respects_custom_silence_labels():
-    entries = [
-        AlignmentEntry("u", "ni", 0.0, 0.2),
-        AlignmentEntry("u", "hum", 0.2, 0.2),
-    ]
-    loose = derive_vad(entries, 0.010, 0.025, num_frames=40, silence_labels={"sil"})
-    strict = derive_vad(
-        entries, 0.010, 0.025, num_frames=40, silence_labels={"sil", "hum"}
-    )
-    # growing the silence set can only turn frames off
-    assert np.all(strict.flags <= loose.flags)
-    assert strict.flags.sum() < loose.flags.sum()
-
-
-def test_vad_frames_past_entries_are_false():
-    entries = [AlignmentEntry("u", "ni", 0.0, 0.1)]
-    vad = derive_vad(entries, 0.010, 0.025, num_frames=500)
-    assert len(vad) == 500
-    assert not vad.flags[20:].any()
-
-
-def test_vad_rejects_bad_framing():
-    with pytest.raises(ValueError):
-        derive_vad([], 0.0, 0.025, num_frames=10)
-    with pytest.raises(ValueError):
-        derive_vad([], 0.010, 0.025, num_frames=-1)
-
-
-@settings(max_examples=40)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(["ni", "hao", "sil", "spn"]),
-            st.floats(min_value=0.0, max_value=2.0),
-            st.floats(min_value=0.01, max_value=0.5),
-        ),
-        max_size=6,
-    ),
-    st.integers(min_value=0, max_value=300),
-)
-def test_vad_flag_iff_center_inside_speech_entry(raw, num_frames):
-    entries = [
-        AlignmentEntry("u", unit, round(i * 3.0 + start, 6), round(dur, 6))
-        for i, (unit, start, dur) in enumerate(raw)
-    ]
-    vad = derive_vad(entries, 0.010, 0.025, num_frames=num_frames)
-    centers = np.arange(num_frames) * 0.010 + 0.0125
-    for t, c in enumerate(centers):
-        expect = any(
-            e.start <= c < e.end for e in entries if e.unit not in {"sil", "spn"}
-        )
-        assert bool(vad.flags[t]) == expect
 
 
 # --- manifests --------------------------------------------------------------

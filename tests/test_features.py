@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitcat.audio import Waveform
-from unitcat.corpus import VadLabels
+from unitcat.archive import read_archive
+from unitcat.audio import Waveform, save_wav
+from unitcat.cli import main
+from unitcat.corpus import AlignmentEntry, UtteranceRecord, save_manifest
 from unitcat.features import (
     CMN_WINDOW,
     ENERGY_FLOOR,
@@ -14,6 +16,7 @@ from unitcat.features import (
     SpecAugmentParams,
     apply_vad_filter,
     compute_fbank,
+    derive_vad,
     draw_masks,
     frame_count,
     frame_sizes,
@@ -202,27 +205,135 @@ def test_fbank_rejects_stereo():
         compute_fbank(w)
 
 
-# --- VAD filtering -----------------------------------------------------------
+# --- VAD -------------------------------------------------------------------
+
+
+def _samples_for(num_frames, rate=16000):
+    win, shift = frame_sizes(rate)
+    return win + (num_frames - 1) * shift
+
+
+def test_vad_all_silence_is_all_false():
+    entries = [AlignmentEntry("u", "sil", 0.0, 1.0)]
+    flags = derive_vad(entries, _samples_for(100), 16000)
+    assert len(flags) == 100
+    assert not flags.any()
+
+
+def test_vad_frame_centers_against_entry_bounds():
+    entries = [AlignmentEntry("u", "ni", 0.0, 0.5)]
+    flags = derive_vad(entries, _samples_for(60), 16000)
+    # frame 0 center 0.0125 is inside [0, 0.5); frame 49 center 0.5025 is not
+    assert bool(flags[0]) is True
+    assert bool(flags[48]) is True
+    assert bool(flags[49]) is False
+    assert not flags[49:].any()
+
+
+def test_vad_end_exclusive():
+    # at 16 kHz frame t's center is sample 160 t + 200, so frame 4's is
+    # sample 840, which the entry's end and the grid both give as
+    # 840 / 16000 s; an entry ending exactly on a center excludes that frame
+    entries = [AlignmentEntry("u", "ni", 0.0, 840 / 16000)]
+    flags = derive_vad(entries, _samples_for(8), 16000)
+    assert bool(flags[3]) is True
+    assert bool(flags[4]) is False
+
+
+def test_vad_respects_custom_silence_labels():
+    entries = [
+        AlignmentEntry("u", "ni", 0.0, 0.2),
+        AlignmentEntry("u", "hum", 0.2, 0.2),
+    ]
+    loose = derive_vad(entries, _samples_for(40), 16000, silence_labels={"sil"})
+    strict = derive_vad(entries, _samples_for(40), 16000, silence_labels={"sil", "hum"})
+    # growing the silence set can only turn frames off
+    assert np.all(strict <= loose)
+    assert strict.sum() < loose.sum()
+
+
+def test_vad_frames_past_entries_are_false():
+    entries = [AlignmentEntry("u", "ni", 0.0, 0.1)]
+    flags = derive_vad(entries, _samples_for(500), 16000)
+    assert len(flags) == 500
+    assert not flags[20:].any()
+
+
+def test_vad_rejects_audio_shorter_than_one_window():
+    win, _ = frame_sizes(16000)
+    assert len(derive_vad([], win, 16000)) == 1
+    with pytest.raises(ValueError, match="shorter than one"):
+        derive_vad([], win - 1, 16000)
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["ni", "hao", "sil", "spn"]),
+            st.floats(min_value=0.0, max_value=2.0),
+            st.floats(min_value=0.01, max_value=0.5),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from([8000, 11025, 16000, 22050]),
+    st.integers(min_value=1, max_value=300),
+)
+def test_vad_flag_iff_center_inside_speech_entry(raw, rate, num_frames):
+    entries = [
+        AlignmentEntry("u", unit, round(i * 3.0 + start, 6), round(dur, 6))
+        for i, (unit, start, dur) in enumerate(raw)
+    ]
+    win, shift = frame_sizes(rate)
+    flags = derive_vad(entries, _samples_for(num_frames, rate), rate)
+    assert len(flags) == num_frames
+    for t in range(num_frames):
+        c = (t * shift + win / 2) / rate
+        expect = any(
+            e.start <= c < e.end for e in entries if e.unit not in {"sil", "spn"}
+        )
+        assert bool(flags[t]) == expect
+
+
+@pytest.mark.parametrize("rate", [11025, 22050])
+def test_featurize_ali_keeps_frames_centered_in_speech(tmp_path, rate):
+    # Over 5 s the nominal 10 ms grid drifts from these rates' sample
+    # grids (shift 110 and 221 samples) by more than a frame; the speech
+    # entry ends at 4.9 s, where the two grids disagree on the last frame.
+    rng = np.random.default_rng(rate)
+    w = Waveform(rng.integers(-8000, 8000, size=5 * rate).astype(np.int16), rate)
+    save_wav(tmp_path / "u.wav", w)
+    save_manifest(tmp_path / "m.tsv", [UtteranceRecord("u", "spk", ("ni",), "u.wav")])
+    (tmp_path / "a.ctm").write_text("u 1 0 0.3 sil\nu 1 0.3 4.6 ni\nu 1 4.9 0.1 sil\n")
+    out = tmp_path / "feats"
+    argv = ["featurize", "--manifest", str(tmp_path / "m.tsv"), "--out", str(out)]
+    assert main(argv + ["--ali", str(tmp_path / "a.ctm")]) == 0
+
+    win, shift = frame_sizes(rate)
+    t = np.arange(frame_count(w.num_samples, win, shift))
+    centers = (t * shift + win / 2) / rate
+    keep = (centers >= 0.3) & (centers < 0.3 + 4.6)
+    (rows,) = read_archive(out)["u"]
+    assert len(rows) == keep.sum()
+    want = sliding_mean_normalize(compute_fbank(w)[keep]).astype(np.float32)
+    assert np.array_equal(rows, want)
 
 
 def test_vad_filter_selects_rows():
     f = np.arange(12, dtype=np.float64).reshape(4, 3)
-    v = VadLabels(np.array([True, False, True, False]), 0.010, 0.025)
-    out = apply_vad_filter(f, v)
+    out = apply_vad_filter(f, np.array([True, False, True, False]))
     assert np.array_equal(out, f[[0, 2]])
 
 
 def test_vad_filter_identity_and_empty():
     f = np.ones((5, 2))
-    keep_all = VadLabels(np.ones(5, dtype=bool), 0.010, 0.025)
-    drop_all = VadLabels(np.zeros(5, dtype=bool), 0.010, 0.025)
-    assert np.array_equal(apply_vad_filter(f, keep_all), f)
-    assert apply_vad_filter(f, drop_all).shape == (0, 2)
+    assert np.array_equal(apply_vad_filter(f, np.ones(5, dtype=bool)), f)
+    assert apply_vad_filter(f, np.zeros(5, dtype=bool)).shape == (0, 2)
 
 
 def test_vad_filter_length_mismatch():
     with pytest.raises(ValueError, match="frames"):
-        apply_vad_filter(np.ones((4, 2)), VadLabels(np.ones(3, dtype=bool), 0.01, 0.025))
+        apply_vad_filter(np.ones((4, 2)), np.ones(3, dtype=bool))
 
 
 # --- sliding CMN -------------------------------------------------------------

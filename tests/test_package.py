@@ -18,3 +18,14 @@ def test_importing_the_package_loads_no_submodule():
     ).stdout.split("\n")
     assert out[0] == "0.1.0"
     assert out[1] == ""
+
+
+def test_config_and_corpus_load_without_numpy():
+    # config and corpus parse text; the setup path through them needs no numpy
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for module in ("unitcat.config", "unitcat.corpus"):
+        probe = f"import sys, {module}\nprint('numpy' in sys.modules)\n"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out == "False\n", module

@@ -223,10 +223,11 @@ def _cmd_eval(args) -> list[str]:
 
 
 def _cmd_plot_roc(args) -> list[str]:
-    points = parse_roc(Path(args.roc).read_text(encoding="utf-8"))
+    with open(args.roc, encoding="utf-8") as lines:
+        roc = parse_roc(lines)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(roc_svg(points, args.title), encoding="utf-8")
+    out.write_text(roc_svg(roc, args.title), encoding="utf-8")
     return [f"wrote {out}"]
 
 
@@ -241,12 +242,12 @@ def _cmd_kws_eval(args) -> list[str]:
         utterance_confidence(stream, spec, args.exclude_first)
         for stream in load_posteriors(args.neg, args.labels).values()
     ]
-    points = kws_roc(positives, negatives)
+    roc = kws_roc(positives, negatives)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(format_roc(points), encoding="utf-8")
+    out.write_text(format_roc(roc), encoding="utf-8")
     return [
-        f"frr_at_far_{far_target:g} = {frr_at_far(points, far_target):.6f}"
+        f"frr_at_far_{far_target:g} = {frr_at_far(roc, far_target):.6f}"
         for far_target in (0.01, 0.001)
     ]
 

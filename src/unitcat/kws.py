@@ -17,13 +17,14 @@ Only the best frame's product is raised to the 1/units power.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .archive import read_archive
-from .scoring import ScoreSet, sweep_rates
+from .scoring import Roc, ScoreSet, sweep_rates
 
 DEFAULT_SMOOTH_WINDOW = 30
 DEFAULT_SEARCH_WINDOW = 100
@@ -164,24 +165,22 @@ def utterance_confidence(
     return float(np.max(np.prod(maxima, axis=1))) ** (1.0 / len(indices))
 
 
-def kws_roc(
-    positives: list[float], negatives: list[float]
-) -> list[tuple[float, float, float]]:
-    """(threshold, FAR, FRR) sweep over utterance confidences; positives
+def kws_roc(positives: Sequence[float], negatives: Sequence[float]) -> Roc:
+    """(thresholds, FAR, FRR) sweep over utterance confidences; positives
     play the target role, negatives the nontarget role."""
-    if not positives or not negatives:
+    positives = np.asarray(positives, dtype=np.float64)
+    negatives = np.asarray(negatives, dtype=np.float64)
+    if not positives.size or not negatives.size:
         raise KwsError("need at least one positive and one negative score")
-    scores = np.asarray(list(positives) + list(negatives), dtype=np.float64)
-    labels = np.asarray([True] * len(positives) + [False] * len(negatives))
-    return sweep_rates(ScoreSet(scores, labels))
+    scores = np.concatenate([positives, negatives])
+    return sweep_rates(ScoreSet(scores, np.arange(len(scores)) < positives.size))
 
 
-def frr_at_far(points: list[tuple[float, float, float]], far_target: float) -> float:
-    """Smallest FRR among sweep points with FAR <= far_target."""
-    eligible = [frr for _, far, frr in points if far <= far_target]
-    if not eligible:
-        return 1.0
-    return min(eligible)
+def frr_at_far(roc: Roc, far_target: float) -> float:
+    """Smallest FRR among sweep points with FAR <= far_target; 1.0 when
+    there is none."""
+    _, far, frr = roc
+    return float(np.min(frr, where=far <= far_target, initial=1.0))
 
 
 # --- posterior files ------------------------------------------------------

@@ -379,7 +379,8 @@ def score_embeddings(trials_path: Path, embeddings_base: Path, scores_path: Path
     _require(embeddings_base.with_suffix(".tsv"), "embedding archive")
     score_set = score_trials(trials, read_archive(embeddings_base))
     scores_path.parent.mkdir(parents=True, exist_ok=True)
-    scores_path.write_text(format_scores(trials, score_set), encoding="utf-8")
+    with open(scores_path, "w", encoding="utf-8") as out:
+        format_scores(trials, score_set, out)
     n_target = int(np.count_nonzero(score_set.is_target))
     return [
         f"trials: {len(trials)}",
@@ -393,8 +394,9 @@ def evaluate_scores(
 ) -> tuple[DetMetrics, list[str]]:
     """EER and minDCF of a score file, with their summary lines; the DET
     sweep goes to roc_path when one is given."""
-    text = _require(scores_path, "score file").read_text(encoding="utf-8")
-    metrics = compute_det_metrics(parse_scores(text), p_target, c_miss, c_fa)
+    with open(_require(scores_path, "score file"), encoding="utf-8") as lines:
+        score_set = parse_scores(lines)
+    metrics = compute_det_metrics(score_set, p_target, c_miss, c_fa)
     if roc_path is not None:
         roc_path.parent.mkdir(parents=True, exist_ok=True)
         roc_path.write_text(format_roc(metrics.roc), encoding="utf-8")

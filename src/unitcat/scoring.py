@@ -5,30 +5,49 @@ FAR(t) = |{nontarget >= t}| / |nontarget| and FRR(t) = |{target < t}| /
 |target|. Rates are evaluated at every distinct score plus -inf/+inf
 sentinels; the equal-error rate interpolates linearly on that polyline,
 and the detection cost is minimized exactly over the same sweep. One
-sweep yields threshold, FAR and FRR arrays, and each metric is an array
-pass over them.
+sweep yields threshold, FAR and FRR arrays, each metric is an array pass
+over them, and that (thresholds, far, frr) triple is the DET curve that
+format_roc writes, parse_roc reads and roc_svg draws.
+
+A trial list holds no object per trial: ``ids`` lists every id once, in
+order of first use, row i of the (n, 2) array ``pairs`` holds trial i's
+enroll and test rows of ``ids``, and ``is_target`` its label.
+parse_trials and parse_scores read any iterable of lines, such as an
+open file, one line at a time, so a trial or score file is never held
+whole as text or as per-line strings; what they return holds 17 and 9
+bytes per trial. format_scores and format_roc format FORMAT_BLOCK lines
+at a time.
 
 Trials are scored block-wise: every id is resolved once to a row of one
 matrix of averaged embeddings whose row norms are computed once, and the
 trials are scored SCORE_BLOCK at a time by gathering their enroll and test
-rows. Gathering every trial at once would hold two (trials x dim) copies.
-Row dot products go through matmul's vector-vector kernel, the one that
-1-D ``a @ b`` and ``np.linalg.norm`` use, so a score is computed as
-cosine_score computes it.
+rows. Gathering every trial at once would hold two (trials x dim) copies,
+and blocks of 1024 trials of 256 dims (two 2 MB gathers) ran 3-4x slower
+than blocks of 256, whose gathers stay in cache. Row dot products go through
+matmul's vector-vector kernel, the one that 1-D ``a @ b`` and
+``np.linalg.norm`` use, so a score is computed as cosine_score computes it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
 from .tdnn import average_embeddings
 
 DEFAULT_P_TARGET = 0.01
-SCORE_BLOCK = 1024
+SCORE_BLOCK = 256
+FORMAT_BLOCK = 4096
+
+Roc = tuple[np.ndarray, np.ndarray, np.ndarray]  # (thresholds, FAR, FRR)
+
+_LABELS = {"nontarget": False, "target": True}
+_LABEL_NAMES = ("nontarget", "target")
 
 
 class ScoringError(ValueError):
@@ -36,10 +55,16 @@ class ScoringError(ValueError):
 
 
 @dataclass
-class Trial:
-    enroll_id: str
-    test_id: str
-    is_target: bool
+class TrialList:
+    """Trials as index arrays: ``ids`` in order of first use, ``pairs``
+    (n, 2) rows of ``ids`` (enroll, test) and ``is_target`` (n,) labels."""
+
+    ids: list[str]
+    pairs: np.ndarray
+    is_target: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pairs)
 
 
 @dataclass
@@ -75,7 +100,7 @@ class DetMetrics:
     eer_threshold: float
     min_dcf: float
     dcf_threshold: float
-    roc: list[tuple[float, float, float]]  # (threshold, FAR, FRR)
+    roc: Roc
 
 
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
@@ -87,35 +112,23 @@ def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def _sweep(s: ScoreSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sweep_rates(s: ScoreSet) -> Roc:
     """(thresholds, FAR, FRR) arrays at all distinct scores and both
     sentinels, thresholds ascending."""
     nonfinite = np.count_nonzero(~np.isfinite(s.scores))
     if nonfinite:
         raise ScoringError(f"{nonfinite} of {len(s)} scores are not finite")
-    targets, nontargets = s.split()
-    t_sorted = np.sort(targets)
-    nt_sorted = np.sort(nontargets)
+    targets, nontargets = s.split()  # copies, so they may be sorted in place
+    targets.sort()
+    nontargets.sort()
     thresholds = np.concatenate(
         [[-math.inf], np.unique(s.scores), [math.inf]]
     )
-    far = (len(nt_sorted) - np.searchsorted(nt_sorted, thresholds, side="left")) / len(
-        nt_sorted
+    far = (len(nontargets) - np.searchsorted(nontargets, thresholds, side="left")) / len(
+        nontargets
     )
-    frr = np.searchsorted(t_sorted, thresholds, side="left") / len(t_sorted)
+    frr = np.searchsorted(targets, thresholds, side="left") / len(targets)
     return thresholds, far, frr
-
-
-def _points(
-    thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray
-) -> list[tuple[float, float, float]]:
-    return list(zip(thresholds.tolist(), far.tolist(), frr.tolist()))
-
-
-def sweep_rates(s: ScoreSet) -> list[tuple[float, float, float]]:
-    """(threshold, FAR, FRR) at all distinct scores and both sentinels,
-    thresholds ascending."""
-    return _points(*_sweep(s))
 
 
 def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
@@ -142,7 +155,7 @@ def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[floa
 def compute_eer(s: ScoreSet) -> tuple[float, float]:
     """Equal-error rate and its threshold, interpolating between sweep
     points where FAR - FRR changes sign."""
-    return _eer(*_sweep(s))
+    return _eer(*sweep_rates(s))
 
 
 def _check_dcf_params(p_target: float, c_miss: float, c_fa: float) -> None:
@@ -178,7 +191,7 @@ def compute_min_dcf(
     the best uninformed-decision cost; ties keep the lowest threshold.
     """
     _check_dcf_params(p_target, c_miss, c_fa)
-    return _min_dcf(*_sweep(s), p_target, c_miss, c_fa)
+    return _min_dcf(*sweep_rates(s), p_target, c_miss, c_fa)
 
 
 def compute_det_metrics(
@@ -187,11 +200,11 @@ def compute_det_metrics(
     c_miss: float = 1.0,
     c_fa: float = 1.0,
 ) -> DetMetrics:
-    sweep = _sweep(s)
+    sweep = sweep_rates(s)
     eer, eer_t = _eer(*sweep)
     _check_dcf_params(p_target, c_miss, c_fa)
     dcf, dcf_t = _min_dcf(*sweep, p_target, c_miss, c_fa)
-    return DetMetrics(eer, eer_t, dcf, dcf_t, _points(*sweep))
+    return DetMetrics(eer, eer_t, dcf, dcf_t, sweep)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,46 +212,41 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def score_trials(
-    trials: list[Trial], embeddings: dict[str, list[np.ndarray]]
-) -> ScoreSet:
+def score_trials(trials: TrialList, embeddings: dict[str, list[np.ndarray]]) -> ScoreSet:
     """One cosine score per trial; ids with several records (one per
-    channel) are represented by their averaged embedding."""
-    row_of: dict[str, int] = {}
+    channel) are represented by their averaged embedding. A refusal names
+    the first trial that uses the offending id."""
+    pairs = trials.pairs
+
+    def first_use(row: int) -> int:
+        return int(np.argmax(pairs.reshape(-1) == row)) // 2 + 1
+
     vectors: list[np.ndarray] = []
-    pairs = np.empty((len(trials), 2), dtype=np.intp)
-    for i, trial in enumerate(trials, start=1):
-        for side, utt_id in enumerate((trial.enroll_id, trial.test_id)):
-            row = row_of.get(utt_id)
-            if row is None:
-                records = embeddings.get(utt_id)
-                if not records:
-                    raise ScoringError(f"trial {i}: no embedding for id {utt_id!r}")
-                widths = sorted({r.size for r in records})
-                if len(widths) > 1:
-                    raise ScoringError(
-                        f"trial {i}: id {utt_id!r} has records of different widths "
-                        f"({', '.join(map(str, widths))}), which cannot be averaged"
-                    )
-                vector = average_embeddings([r.reshape(-1) for r in records])
-                if vectors and len(vector) != len(vectors[0]):
-                    raise ScoringError(
-                        f"trial {i}: id {utt_id!r} has a {len(vector)}-dim embedding, "
-                        f"others have {len(vectors[0])}"
-                    )
-                row = row_of[utt_id] = len(vectors)
-                vectors.append(vector)
-            pairs[i - 1, side] = row
+    # ids are in order of first use, so the first id to fail fails first
+    for row, utt_id in enumerate(trials.ids):
+        records = embeddings.get(utt_id)
+        if not records:
+            raise ScoringError(f"trial {first_use(row)}: no embedding for id {utt_id!r}")
+        widths = sorted({r.size for r in records})
+        if len(widths) > 1:
+            raise ScoringError(
+                f"trial {first_use(row)}: id {utt_id!r} has records of different widths "
+                f"({', '.join(map(str, widths))}), which cannot be averaged"
+            )
+        vector = average_embeddings([r.reshape(-1) for r in records])
+        if vectors and len(vector) != len(vectors[0]):
+            raise ScoringError(
+                f"trial {first_use(row)}: id {utt_id!r} has a {len(vector)}-dim embedding, "
+                f"others have {len(vectors[0])}"
+            )
+        vectors.append(vector)
     matrix = np.stack(vectors) if vectors else np.empty((0, 0))
     norms = np.sqrt(_row_dots(matrix, matrix))
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
-        # rows are numbered in order of first use, so zero[0] fails first
-        utt_id = list(row_of)[zero[0]]
-        lineno = int(np.flatnonzero((pairs == zero[0]).any(axis=1))[0]) + 1
         raise ScoringError(
-            f"trial {lineno}: id {utt_id!r} has a zero-norm embedding; "
-            "cosine of a zero-norm vector is undefined"
+            f"trial {first_use(zero[0])}: id {trials.ids[zero[0]]!r} has a zero-norm "
+            "embedding; cosine of a zero-norm vector is undefined"
         )
     scores = np.empty(len(trials))
     for lo in range(0, len(trials), SCORE_BLOCK):
@@ -246,106 +254,135 @@ def score_trials(
         enroll, test = pairs[block, 0], pairs[block, 1]
         dots = _row_dots(matrix[enroll], matrix[test])
         np.clip(dots / (norms[enroll] * norms[test]), -1.0, 1.0, out=scores[block])
-    labels = np.fromiter((t.is_target for t in trials), dtype=bool, count=len(trials))
-    return ScoreSet(scores, labels)
+    return ScoreSet(scores, trials.is_target)
 
 
 # --- text formats ---------------------------------------------------------
 
 
-def parse_trials(text: str) -> list[Trial]:
+def _number(field: str) -> float:
+    """float(field), refusing what float() accepts but no number file
+    writes: digit-group underscores ('1_0') and non-ASCII digits."""
+    if "_" in field or not field.isascii():
+        raise ValueError(field)
+    return float(field)
+
+
+def parse_trials(lines: Iterable[str]) -> TrialList:
     """Lines of: enroll_id test_id target|nontarget."""
-    trials = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    row_of: dict[str, int] = {}
+    pairs: list[int] = []  # each row's int object is the one row_of holds
+    labels = bytearray()
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 3:
             raise ScoringError(f"trials line {lineno}: expected 3 fields, got {len(fields)}")
         enroll, test, label = fields
-        if label not in ("target", "nontarget"):
+        is_target = _LABELS.get(label)
+        if is_target is None:
             raise ScoringError(
                 f"trials line {lineno}: label must be target or nontarget, got {label!r}"
             )
-        trials.append(Trial(enroll, test, label == "target"))
-    return trials
+        pairs.append(row_of.setdefault(enroll, len(row_of)))
+        pairs.append(row_of.setdefault(test, len(row_of)))
+        labels.append(is_target)
+    return TrialList(
+        list(row_of),
+        np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        np.frombuffer(labels, dtype=bool),
+    )
 
 
-def load_trials(path: str | Path) -> list[Trial]:
-    return parse_trials(Path(path).read_text(encoding="utf-8"))
+def load_trials(path: str | Path) -> TrialList:
+    with open(path, encoding="utf-8") as f:
+        return parse_trials(f)
 
 
-def format_scores(trials: list[Trial], s: ScoreSet) -> str:
-    lines = [
-        f"{t.enroll_id} {t.test_id} {score:.17g} "
-        f"{'target' if is_target else 'nontarget'}"
-        for t, score, is_target in zip(trials, s.scores, s.is_target)
-    ]
-    return "".join(line + "\n" for line in lines)
+def format_scores(trials: TrialList, s: ScoreSet, out: TextIO) -> None:
+    """Write one line per trial to out: enroll_id test_id score label."""
+    ids = trials.ids
+    for lo in range(0, len(trials), FORMAT_BLOCK):
+        block = slice(lo, lo + FORMAT_BLOCK)
+        out.write("".join(
+            "%s %s %.17g %s\n" % (ids[enroll], ids[test], score, _LABEL_NAMES[is_target])
+            for (enroll, test), score, is_target in zip(
+                trials.pairs[block].tolist(), s.scores[block].tolist(), s.is_target[block].tolist()
+            )
+        ))
 
 
-def parse_scores(text: str) -> ScoreSet:
+def parse_scores(lines: Iterable[str]) -> ScoreSet:
     """Lines of: enroll_id test_id score label."""
-    scores = []
-    labels = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    scores: list[float] = []
+    labels = bytearray()
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 4:
             raise ScoringError(f"scores line {lineno}: expected 4 fields, got {len(fields)}")
         try:
-            score = float(fields[2])
+            score = _number(fields[2])
         except ValueError:
             raise ScoringError(f"scores line {lineno}: bad score {fields[2]!r}") from None
         if not math.isfinite(score):
             raise ScoringError(f"scores line {lineno}: non-finite score {fields[2]!r}")
-        scores.append(score)
-        if fields[3] not in ("target", "nontarget"):
+        is_target = _LABELS.get(fields[3])
+        if is_target is None:
             raise ScoringError(f"scores line {lineno}: bad label {fields[3]!r}")
-        labels.append(fields[3] == "target")
-    return ScoreSet(np.asarray(scores), np.asarray(labels))
+        scores.append(score)
+        labels.append(is_target)
+    return ScoreSet(np.array(scores), np.frombuffer(labels, dtype=bool))
 
 
-def format_roc(points: list[tuple[float, float, float]]) -> str:
-    lines = ["threshold\tfar\tfrr"]
-    lines += [f"{t:.17g}\t{fa:.17g}\t{fr:.17g}" for t, fa, fr in points]
-    return "".join(line + "\n" for line in lines)
+def format_roc(roc: Roc) -> str:
+    """A header line, then threshold, far and frr per sweep point, tab-separated."""
+    thresholds, far, frr = roc
+    blocks = ["threshold\tfar\tfrr\n"]
+    for lo in range(0, len(thresholds), FORMAT_BLOCK):
+        block = slice(lo, lo + FORMAT_BLOCK)
+        blocks.append("".join(
+            "%.17g\t%.17g\t%.17g\n" % point
+            for point in zip(thresholds[block].tolist(), far[block].tolist(), frr[block].tolist())
+        ))
+    return "".join(blocks)
 
 
-def parse_roc(text: str) -> list[tuple[float, float, float]]:
-    """format_roc's TSV back to (threshold, far, frr) points."""
-    points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or (lineno == 1 and line.startswith("threshold")):
-            continue
+def parse_roc(lines: Iterable[str]) -> Roc:
+    """format_roc's lines back to (thresholds, far, frr) arrays."""
+    values: list[float] = []
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields or (lineno == 1 and fields[0].startswith("threshold")):
+            continue
         if len(fields) != 3:
             raise ScoringError(f"roc line {lineno}: expected 3 fields, got {len(fields)}")
         try:
-            threshold, far, frr = (float(x) for x in fields)
+            values.extend([_number(x) for x in fields])
         except ValueError:
-            raise ScoringError(f"roc line {lineno}: bad number in {line!r}") from None
-        points.append((threshold, far, frr))
-    return points
+            raise ScoringError(f"roc line {lineno}: bad number in {line.strip()!r}") from None
+    thresholds, far, frr = np.array(values, dtype=np.float64).reshape(-1, 3).T
+    return thresholds, far, frr
 
 
-def roc_svg(points: list[tuple[float, float, float]], title: str = "DET") -> str:
+def roc_svg(roc: Roc, title: str = "DET") -> str:
     """A standalone SVG of the FAR/FRR trade-off polyline."""
     size, margin = 400, 45
     span = size - 2 * margin
 
-    def px(far: float) -> float:
+    def px(far):
         return margin + far * span
 
-    def py(frr: float) -> float:
+    def py(frr):
         return size - margin - frr * span
 
-    coords = sorted((fa, fr) for _, fa, fr in points)
-    path = " ".join(f"{px(fa):.2f},{py(fr):.2f}" for fa, fr in coords)
+    _, far, frr = roc
+    order = np.lexsort((frr, far))  # by FAR, then FRR
+    path = " ".join(
+        "%.2f,%.2f" % xy for xy in zip(px(far[order]).tolist(), py(frr[order]).tolist())
+    )
     grid = []
     for i in range(5):
         v = i / 4

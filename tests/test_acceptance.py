@@ -380,14 +380,12 @@ def test_criterion_7_kws_confidence():
             after = utterance_confidence(PosteriorStream(boosted, labels), spec)
             assert after >= before - 1e-12
 
-        points = kws_roc([0.9, 0.8, 0.7, 0.7], [0.4, 0.3, 0.3, 0.1])
-        thresholds = [t for t, _, _ in points]
-        fars = [far for _, far, _ in points]
-        frrs = [frr for _, _, frr in points]
+        roc = kws_roc([0.9, 0.8, 0.7, 0.7], [0.4, 0.3, 0.3, 0.1])
+        thresholds, fars, frrs = (column.tolist() for column in roc)
         assert thresholds == sorted(thresholds)
         assert all(a >= b for a, b in zip(fars, fars[1:]))
         assert all(a <= b for a, b in zip(frrs, frrs[1:]))
-        assert frr_at_far(points, 0.01) == 0.0
+        assert frr_at_far(roc, 0.01) == 0.0
 
 
 # --- 8: determinism for a fixed seed -----------------------------------------

@@ -236,14 +236,13 @@ def test_confidence_monotone_under_posterior_boosts(seed, frames):
 
 
 def test_kws_roc_separable():
-    points = kws_roc([0.9, 0.8, 0.85], [0.1, 0.2, 0.15])
-    fars = [fa for _, fa, _ in points]
-    frrs = [fr for _, _, fr in points]
-    assert fars == sorted(fars, reverse=True)
-    assert frrs == sorted(frrs)
-    assert any(fa == 0.0 and fr == 0.0 for _, fa, fr in points)
-    assert frr_at_far(points, 0.01) == 0.0
-    assert frr_at_far(points, 0.001) == 0.0
+    roc = kws_roc([0.9, 0.8, 0.85], [0.1, 0.2, 0.15])
+    _, fars, frrs = roc
+    assert fars.tolist() == sorted(fars, reverse=True)
+    assert frrs.tolist() == sorted(frrs)
+    assert any((fars == 0.0) & (frrs == 0.0))
+    assert frr_at_far(roc, 0.01) == 0.0
+    assert frr_at_far(roc, 0.001) == 0.0
 
 
 def test_kws_roc_requires_both_sides():
@@ -253,11 +252,15 @@ def test_kws_roc_requires_both_sides():
         kws_roc([0.9], [])
 
 
+def _roc(*points):
+    return tuple(np.array(column) for column in zip(*points))
+
+
 def test_frr_at_far_picks_smallest_eligible():
-    points = [(0.1, 0.5, 0.0), (0.5, 0.2, 0.1), (0.9, 0.0, 0.4)]
-    assert frr_at_far(points, 0.25) == 0.1
-    assert frr_at_far(points, 0.0) == 0.4
-    assert frr_at_far([(0.5, 0.7, 0.2)], 0.01) == 1.0
+    roc = _roc((0.1, 0.5, 0.0), (0.5, 0.2, 0.1), (0.9, 0.0, 0.4))
+    assert frr_at_far(roc, 0.25) == 0.1
+    assert frr_at_far(roc, 0.0) == 0.4
+    assert frr_at_far(_roc((0.5, 0.7, 0.2)), 0.01) == 1.0
 
 
 # --- posterior files -----------------------------------------------------------------

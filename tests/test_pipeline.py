@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -474,3 +476,36 @@ def test_featurize_and_train_each_own_one_workspace_per_call(tmp_path, monkeypat
         assert all(w is works[0] for w in works), key
         # a rerun's loop owns a workspace of its own
         assert seen[key][len(works)] is not works[0], key
+
+
+def test_score_and_eval_hold_few_bytes_per_trial(tmp_path):
+    # trials and scores are kept as index and value arrays, and their files
+    # are streamed; holding a file's text plus an object per trial and per
+    # sweep point costs 300-500 bytes per trial
+    rng = np.random.default_rng(5)
+    ids = [f"spk{i // 10:02d}-utt{i % 10}" for i in range(300)]
+    write_archive(tmp_path / "emb", ((utt_id, rng.standard_normal(256)) for utt_id in ids))
+    n = 50_000
+    with open(tmp_path / "trials.tsv", "w", encoding="utf-8") as f:
+        f.writelines(
+            f"{ids[e]} {ids[t]} {'target' if e // 10 == t // 10 else 'nontarget'}\n"
+            for e, t in rng.integers(len(ids), size=(n, 2)).tolist()
+        )
+
+    def peak_bytes_per_trial(stage, *args):
+        tracemalloc.start()
+        try:
+            stage(*args)
+            return tracemalloc.get_traced_memory()[1] / n
+        finally:
+            tracemalloc.stop()
+
+    scores = tmp_path / "scores.txt"
+    score = peak_bytes_per_trial(
+        pipeline.score_embeddings, tmp_path / "trials.tsv", tmp_path / "emb", scores
+    )
+    evaluate = peak_bytes_per_trial(
+        pipeline.evaluate_scores, scores, 0.01, 1.0, 1.0, tmp_path / "roc.tsv"
+    )
+    assert score < 150, score
+    assert evaluate < 150, evaluate

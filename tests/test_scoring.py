@@ -1,3 +1,4 @@
+import io
 import math
 import xml.etree.ElementTree as ET
 
@@ -9,7 +10,6 @@ from unitcat.scoring import (
     SCORE_BLOCK,
     ScoreSet,
     ScoringError,
-    Trial,
     compute_det_metrics,
     compute_eer,
     compute_min_dcf,
@@ -29,6 +29,11 @@ WORKED = ScoreSet(
     np.array([0.9, 0.7, 0.6, 0.2, 0.8, 0.3, 0.1, 0.05]),
     np.array([True, True, True, True, False, False, False, False]),
 )
+
+
+def _points(roc):
+    """A (thresholds, far, frr) sweep as (threshold, far, frr) tuples."""
+    return list(zip(*(column.tolist() for column in roc)))
 
 
 def _brute_force_eer(scores, labels):
@@ -95,7 +100,7 @@ def test_cosine_clipped_to_unit_interval():
 
 
 def test_sweep_has_sentinels_and_sorted_thresholds():
-    points = sweep_rates(WORKED)
+    points = _points(sweep_rates(WORKED))
     thresholds = [t for t, _, _ in points]
     assert thresholds[0] == -math.inf
     assert thresholds[-1] == math.inf
@@ -106,14 +111,14 @@ def test_sweep_has_sentinels_and_sorted_thresholds():
 
 
 def test_sweep_rates_worked_values():
-    rates = {t: (fa, fr) for t, fa, fr in sweep_rates(WORKED)}
+    rates = {t: (fa, fr) for t, fa, fr in _points(sweep_rates(WORKED))}
     assert rates[0.6] == (0.25, 0.25)
     assert rates[0.9] == (0.0, 0.75)
     assert rates[0.05] == (1.0, 0.0)
 
 
 def test_sweep_rates_monotone():
-    points = sweep_rates(WORKED)
+    points = _points(sweep_rates(WORKED))
     fars = [fa for _, fa, _ in points]
     frrs = [fr for _, _, fr in points]
     assert fars == sorted(fars, reverse=True)
@@ -244,7 +249,7 @@ def test_det_metrics_bundle():
     m = compute_det_metrics(WORKED, p_target=0.01)
     assert m.eer == pytest.approx(0.25)
     assert m.min_dcf == pytest.approx(0.75)
-    assert m.roc == sweep_rates(WORKED)
+    assert _points(m.roc) == _points(sweep_rates(WORKED))
 
 
 @settings(max_examples=60)
@@ -281,7 +286,7 @@ def test_min_dcf_stays_in_unit_interval(targets, nontargets):
 
 def test_score_trials_self_trial_is_one():
     emb = {"a": [np.array([1.0, 2.0, 3.0])]}
-    s = score_trials([Trial("a", "a", True)], emb)
+    s = score_trials(parse_trials(["a a target"]), emb)
     assert s.scores[0] == pytest.approx(1.0, abs=1e-15)
     assert bool(s.is_target[0]) is True
 
@@ -291,7 +296,7 @@ def test_score_trials_multi_record_ids_average():
         "multi": [np.array([1.0, 0.0]), np.array([0.0, 1.0])],
         "probe": [np.array([1.0, 1.0])],
     }
-    s = score_trials([Trial("multi", "probe", True)], emb)
+    s = score_trials(parse_trials(["multi probe target"]), emb)
     # averaged enrollment [0.5, 0.5] is parallel to the probe
     assert s.scores[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -299,13 +304,13 @@ def test_score_trials_multi_record_ids_average():
 def test_score_trials_missing_id_names_trial():
     with pytest.raises(ScoringError, match="trial 2"):
         score_trials(
-            [Trial("a", "a", True), Trial("a", "ghost", False)],
+            parse_trials(["a a target", "a ghost nontarget"]),
             {"a": [np.array([1.0, 0.0])]},
         )
 
 
 def test_score_trials_empty():
-    s = score_trials([], {})
+    s = score_trials(parse_trials([]), {})
     assert len(s) == 0
 
 
@@ -317,20 +322,21 @@ def test_score_trials_matches_cosine_score_across_blocks():
     }
     ids = list(emb)
     n = 2 * SCORE_BLOCK + 37
-    trials = [
-        Trial(ids[rng.integers(50)], ids[rng.integers(50)], bool(rng.integers(2)))
+    lines = [
+        f"{ids[rng.integers(50)]} {ids[rng.integers(50)]} {('nontarget', 'target')[rng.integers(2)]}"
         for _ in range(n)
     ]
-    s = score_trials(trials, emb)
+    s = score_trials(parse_trials(lines), emb)
     averaged = {u: average_embeddings([r.reshape(-1) for r in recs]) for u, recs in emb.items()}
-    want = [cosine_score(averaged[t.enroll_id], averaged[t.test_id]) for t in trials]
+    trials = [line.split() for line in lines]
+    want = [cosine_score(averaged[enroll], averaged[test]) for enroll, test, _ in trials]
     assert np.max(np.abs(s.scores - np.asarray(want))) <= 1e-12
-    assert s.is_target.tolist() == [t.is_target for t in trials]
+    assert s.is_target.tolist() == [label == "target" for _, _, label in trials]
 
 
 def test_score_trials_missing_id_in_a_later_block_names_its_trial():
     emb = {"a": [np.array([1.0, 0.0])], "b": [np.array([0.0, 1.0])]}
-    trials = [Trial("a", "b", False)] * (SCORE_BLOCK + 5) + [Trial("b", "ghost", False)]
+    trials = parse_trials(["a b nontarget"] * (SCORE_BLOCK + 5) + ["b ghost nontarget"])
     with pytest.raises(ScoringError, match=f"trial {SCORE_BLOCK + 6}: no embedding for id 'ghost'"):
         score_trials(trials, emb)
 
@@ -342,23 +348,23 @@ def test_score_trials_zero_norm_names_id_and_first_trial():
         # two records that cancel: the averaged embedding is zero
         "flat": [np.array([1.0, -1.0]), np.array([-1.0, 1.0])],
     }
-    trials = [Trial("a", "b", False), Trial("b", "a", False), Trial("a", "flat", True)]
+    trials = ["a b nontarget", "b a nontarget", "a flat target", "flat b nontarget"]
     with pytest.raises(ScoringError, match="trial 3: id 'flat' has a zero-norm embedding"):
-        score_trials(trials + [Trial("flat", "b", False)], emb)
+        score_trials(parse_trials(trials), emb)
 
 
 def test_score_trials_names_an_embedding_of_another_width():
     emb = {"a": [np.ones(4)], "b": [np.ones(4)], "short": [np.ones(3)]}
     message = "trial 2: id 'short' has a 3-dim embedding, others have 4"
     with pytest.raises(ScoringError, match=message):
-        score_trials([Trial("a", "b", True), Trial("short", "a", False)], emb)
+        score_trials(parse_trials(["a b target", "short a nontarget"]), emb)
 
 
 def test_score_trials_names_an_id_whose_records_differ_in_width():
     emb = {"b": [np.ones(4)], "a": [np.ones(4), np.ones(3)]}
     message = r"trial 2: id 'a' has records of different widths \(3, 4\)"
     with pytest.raises(ScoringError, match=message):
-        score_trials([Trial("b", "b", True), Trial("b", "a", False)], emb)
+        score_trials(parse_trials(["b b target", "b a nontarget"]), emb)
 
 
 def _brute_force_det(scores, labels, p_target):
@@ -407,49 +413,63 @@ def test_det_arrays_match_brute_force_loop_with_tied_scores_and_costs():
         roc, eer, dcf, tied = _brute_force_det(scores.tolist(), labels.tolist(), p_target)
         tied_costs += tied
         s = ScoreSet(scores, labels)
-        assert sweep_rates(s) == roc
+        assert _points(sweep_rates(s)) == roc
         assert compute_eer(s) == pytest.approx(eer, abs=1e-12)
         assert compute_min_dcf(s, p_target) == pytest.approx(dcf, abs=1e-12)
         m = compute_det_metrics(s, p_target)
         assert (m.eer, m.eer_threshold) == compute_eer(s)
         assert (m.min_dcf, m.dcf_threshold) == compute_min_dcf(s, p_target)
-        assert m.roc == roc
+        assert _points(m.roc) == roc
     assert tied_costs >= 20
 
 # --- text formats ---------------------------------------------------------------
 
 
 def test_parse_trials_and_errors():
-    trials = parse_trials("e1 t1 target\n\ne2 t2 nontarget\n")
-    assert trials == [Trial("e1", "t1", True), Trial("e2", "t2", False)]
+    trials = parse_trials(io.StringIO("e1 t1 target\n\nt1 e2 nontarget\n"))
+    assert len(trials) == 2
+    assert trials.ids == ["e1", "t1", "e2"]  # in order of first use
+    assert trials.pairs.tolist() == [[0, 1], [1, 2]]
+    assert trials.is_target.tolist() == [True, False]
     with pytest.raises(ScoringError, match="line 1"):
-        parse_trials("e1 t1\n")
-    with pytest.raises(ScoringError, match="label"):
-        parse_trials("e1 t1 maybe\n")
+        parse_trials(io.StringIO("e1 t1\n"))
+    with pytest.raises(ScoringError, match="line 3: label"):
+        parse_trials(io.StringIO("e1 t1 target\n\ne1 t1 maybe\n"))
 
 
 def test_scores_roundtrip():
-    trials = [Trial("e1", "t1", True), Trial("e2", "t2", False)]
+    trials = parse_trials(["e1 t1 target", "e2 t2 nontarget"])
     s = ScoreSet(np.array([0.123456789012345678, -0.5]), np.array([True, False]))
-    text = format_scores(trials, s)
-    back = parse_scores(text)
+    out = io.StringIO()
+    format_scores(trials, s, out)
+    assert out.getvalue() == "e1 t1 0.12345678901234568 target\ne2 t2 -0.5 nontarget\n"
+    back = parse_scores(io.StringIO(out.getvalue()))
     assert np.array_equal(back.scores, s.scores)
     assert np.array_equal(back.is_target, s.is_target)
 
 
 def test_parse_scores_errors():
     with pytest.raises(ScoringError, match="4 fields"):
-        parse_scores("a b 0.5\n")
+        parse_scores(["a b 0.5"])
     with pytest.raises(ScoringError, match="bad score"):
-        parse_scores("a b x target\n")
+        parse_scores(["a b x target"])
     with pytest.raises(ScoringError, match="bad label"):
-        parse_scores("a b 0.5 yes\n")
+        parse_scores(["a b 0.5 yes"])
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN"])
 def test_parse_scores_refuses_a_non_finite_score_naming_its_line(score):
     with pytest.raises(ScoringError, match=rf"line 2: non-finite score '{score}'"):
-        parse_scores(f"a b 0.5 target\na c {score} nontarget\nb c 0.1 nontarget\n")
+        parse_scores(io.StringIO(f"a b 0.5 target\na c {score} nontarget\nb c 0.1 nontarget\n"))
+
+
+@pytest.mark.parametrize("number", ["1_0", "0.5_5", "\u0661"])
+def test_parsers_refuse_digit_separators_and_non_ascii_digits_naming_the_line(number):
+    # float() reads '1_0' as 10.0 and Arabic-Indic '\u0661' as 1.0
+    with pytest.raises(ScoringError, match=f"scores line 2: bad score '{number}'"):
+        parse_scores(io.StringIO(f"a b 0.5 target\na c {number} nontarget\n"))
+    with pytest.raises(ScoringError, match="roc line 3: bad number"):
+        parse_roc(io.StringIO(f"threshold\tfar\tfrr\n0.5\t0.1\t0.9\n0.4\t{number}\t0.8\n"))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -470,21 +490,21 @@ def test_format_roc_header_and_rows():
 def test_parse_roc_reads_format_roc_back_exactly():
     rng = np.random.default_rng(4)
     labels = rng.random(200) < 0.4
-    points = sweep_rates(ScoreSet(rng.normal(size=200) + labels, labels))
-    assert parse_roc(format_roc(points)) == points
-    assert parse_roc("") == []
-    assert parse_roc("0.5\t0.25\t0.75\n\n") == [(0.5, 0.25, 0.75)]  # header optional
+    roc = sweep_rates(ScoreSet(rng.normal(size=200) + labels, labels))
+    assert _points(parse_roc(io.StringIO(format_roc(roc)))) == _points(roc)
+    assert _points(parse_roc([])) == []
+    assert _points(parse_roc(["0.5\t0.25\t0.75", ""])) == [(0.5, 0.25, 0.75)]  # header optional
 
 
 def test_parse_roc_errors_name_the_line():
     header = "threshold\tfar\tfrr\n"
     with pytest.raises(ScoringError, match="roc line 3: expected 3 fields, got 2"):
-        parse_roc(header + "0.5\t0.1\t0.9\n0.4\t0.2\n")
+        parse_roc(io.StringIO(header + "0.5\t0.1\t0.9\n0.4\t0.2\n"))
     with pytest.raises(ScoringError, match="roc line 2: bad number"):
-        parse_roc(header + "0.5\tx\t0.9\n")
+        parse_roc(io.StringIO(header + "0.5\tx\t0.9\n"))
     # only a first line may be the header
     with pytest.raises(ScoringError, match="roc line 2: bad number"):
-        parse_roc(header + header)
+        parse_roc(io.StringIO(header + header))
 
 
 def test_roc_svg_is_wellformed_xml():

@@ -56,12 +56,11 @@ def test_toy_corpus_artifacts_are_consistent(tmp_path):
         assert tuple(non_sil) == rec.transcript
 
     trials = load_trials(corpus.trials_path)
-    assert any(t.is_target for t in trials)
-    assert any(not t.is_target for t in trials)
+    assert trials.is_target.any()
+    assert not trials.is_target.all()
     # trials only reference covered speakers (spk0, spk1)
-    for t in trials:
-        assert not t.enroll_id.startswith("spk2")
-        assert not t.test_id.startswith("spk2")
+    for utt_id in trials.ids:
+        assert not utt_id.startswith("spk2")
 
 
 def test_toy_corpus_segments_match_declared_counts(tmp_path):

@@ -3,12 +3,17 @@
 An archive is a pair of files sharing a base path: <base>.bin holds
 concatenated row-major little-endian float32 payloads, <base>.tsv lists
 one record per line as utterance_id, byte offset, rows, cols. An id may
-appear on several lines (e.g. one embedding per recording channel); the
-reader returns records per id in file order.
+appear on several lines (e.g. one embedding per recording channel).
+
+read_index parses the index into Record views grouped per id in file
+order; a view knows its shape and reads its payload only when converted
+to an array. read_archive reads every view from one open data file, so
+it holds each record once and never a second copy of the data file.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,27 +59,70 @@ def write_archive(base: str | Path, items) -> None:
             w.add(utt_id, matrix)
 
 
-def read_archive(base: str | Path) -> dict[str, list[np.ndarray]]:
-    """All records grouped by id, file order preserved within a group."""
+@dataclass(frozen=True)
+class Record:
+    """One archived (rows, cols) matrix. np.asarray(record) reads its
+    payload from the data file straight into a new float32 array, on
+    every conversion; np.shape(record) reads nothing."""
+
+    path: Path
+    offset: int
+    shape: tuple[int, int]
+
+    def read(self, data) -> np.ndarray:
+        """The payload, from the open data file, in a new float32 array."""
+        arr = np.empty(self.shape, dtype="<f4")
+        data.seek(self.offset)
+        if data.readinto(arr) != arr.nbytes:
+            raise ArchiveError(f"{self.path}: record at byte {self.offset} is cut short")
+        return arr
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        with open(self.path, "rb") as data:
+            arr = self.read(data)
+        return arr if dtype is None else arr.astype(dtype, copy=False)
+
+
+def _nonnegative_int(where: str, name: str, text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ArchiveError(f"{where}: {name} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def read_index(base: str | Path) -> dict[str, list[Record]]:
+    """Every record as a Record view, grouped by id, file order preserved
+    within a group. A line without 4 fields, a field that is not a
+    non-negative integer or a record that runs past the data file is
+    refused, naming the index file and line."""
     base = Path(base)
-    data = base.with_suffix(".bin").read_bytes()
-    records: dict[str, list[np.ndarray]] = {}
+    data_path = base.with_suffix(".bin")
+    data_size = data_path.stat().st_size
     index_path = base.with_suffix(".tsv")
+    records: dict[str, list[Record]] = {}
     for lineno, line in enumerate(
         index_path.read_text(encoding="utf-8").splitlines(), start=1
     ):
         if not line.strip():
             continue
+        where = f"{index_path}:{lineno}"
         fields = line.split("\t")
         if len(fields) != 4:
-            raise ArchiveError(f"{index_path}:{lineno}: expected 4 fields, got {len(fields)}")
-        utt_id, offset_s, rows_s, cols_s = fields
-        offset, rows, cols = int(offset_s), int(rows_s), int(cols_s)
-        nbytes = rows * cols * 4
-        if offset + nbytes > len(data):
-            raise ArchiveError(
-                f"{index_path}:{lineno}: record for {utt_id!r} runs past the data file"
-            )
-        arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=offset)
-        records.setdefault(utt_id, []).append(arr.reshape(rows, cols).copy())
+            raise ArchiveError(f"{where}: expected 4 fields, got {len(fields)}")
+        utt_id = fields[0]
+        offset, rows, cols = (
+            _nonnegative_int(where, name, text)
+            for name, text in zip(("offset", "rows", "cols"), fields[1:])
+        )
+        if offset + rows * cols * 4 > data_size:
+            raise ArchiveError(f"{where}: record for {utt_id!r} runs past the data file")
+        records.setdefault(utt_id, []).append(Record(data_path, offset, (rows, cols)))
     return records
+
+
+def read_archive(base: str | Path) -> dict[str, list[np.ndarray]]:
+    """All records grouped by id, file order preserved within a group."""
+    index = read_index(base)
+    with open(Path(base).with_suffix(".bin"), "rb") as data:
+        return {
+            utt_id: [record.read(data) for record in records] for utt_id, records in index.items()
+        }

@@ -368,7 +368,8 @@ def parse_roc(lines: Iterable[str]) -> Roc:
 
 
 def roc_svg(roc: Roc, title: str = "DET") -> str:
-    """A standalone SVG of the FAR/FRR trade-off polyline."""
+    """A standalone SVG of the FAR/FRR trade-off: the DET staircase as a
+    polyline through its corners, as printed to 0.01 px."""
     size, margin = 400, 45
     span = size - 2 * margin
 
@@ -379,10 +380,27 @@ def roc_svg(roc: Roc, title: str = "DET") -> str:
         return size - margin - frr * span
 
     _, far, frr = roc
-    order = np.lexsort((frr, far))  # by FAR, then FRR
-    path = " ".join(
-        "%.2f,%.2f" % xy for xy in zip(px(far[order]).tolist(), py(frr[order]).tolist())
+    order = np.lexsort((-frr, far))  # by FAR ascending, then FRR descending
+    x, y = px(far[order]), py(frr[order])
+    # a repeated point, or one inside an exactly horizontal or vertical run,
+    # stays so once printed, so only the others are formatted
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    x, y = x[new], y[new]
+    ends = np.ones(len(x), dtype=bool)
+    ends[1:-1] = ~(
+        ((x[:-2] == x[1:-1]) & (x[1:-1] == x[2:])) | ((y[:-2] == y[1:-1]) & (y[1:-1] == y[2:]))
     )
+    points = [("%.2f" % a, "%.2f" % b) for a, b in zip(x[ends].tolist(), y[ends].tolist())]
+    # the same rule on the printed coordinates, which can tie where the
+    # exact ones do not
+    points = [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
+    corners = points[:1] + [
+        b
+        for a, b, c in zip(points, points[1:], points[2:])
+        if not (a[0] == b[0] == c[0] or a[1] == b[1] == c[1])
+    ] + points[1:][-1:]
+    path = " ".join(",".join(point) for point in corners)
     grid = []
     for i in range(5):
         v = i / 4

@@ -13,9 +13,10 @@ to CHUNK_FRAMES frames of their utterances into one stream and run each
 frame layer as one GEMM over it. A spliced layer's rows are each
 utterance's valid rows back to back, so no row's context window straddles
 two utterances, and an utterance of T frames gives T - MIN_FRAMES + 1
-frame5 rows. ``forward`` takes one (T, 40) matrix or a list of them; its
-forward-only pass keeps two layer buffers besides the stream, not every
-layer's activations.
+frame5 rows. ``forward`` takes one (T, 40) matrix or a list of them,
+arrays or array-likes such as archive records, and reads each one only
+when its chunk is stacked; its forward-only pass keeps two layer buffers
+besides the stream, not every layer's activations.
 """
 
 from __future__ import annotations
@@ -133,15 +134,15 @@ def stats_pool(h: np.ndarray, floor: float = VARIANCE_FLOOR) -> np.ndarray:
     return np.concatenate([mean, std])
 
 
-def _check_feats(params: TdnnParams, feats: np.ndarray) -> np.ndarray:
-    feats = np.asarray(feats)
-    if feats.ndim != 2 or feats.shape[1] != params.config.feat_dim:
-        raise ValueError(
-            f"expected (T, {params.config.feat_dim}) features, got {feats.shape}"
-        )
-    if len(feats) < MIN_FRAMES:
-        raise ValueError(f"need at least {MIN_FRAMES} frames, got {len(feats)}")
-    return feats
+def _check_feats(params: TdnnParams, feats) -> int:
+    """The frame count of a (T, feat_dim) matrix of at least MIN_FRAMES
+    frames, from np.shape alone, so feats is not converted to an array."""
+    shape = np.shape(feats)
+    if len(shape) != 2 or shape[1] != params.config.feat_dim:
+        raise ValueError(f"expected (T, {params.config.feat_dim}) features, got {shape}")
+    if shape[0] < MIN_FRAMES:
+        raise ValueError(f"need at least {MIN_FRAMES} frames, got {shape[0]}")
+    return shape[0]
 
 
 def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -213,7 +214,8 @@ def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.n
     """Forward pass over one utterance keeping each frame layer's spliced
     input and output, the pooled statistics, the embedding and the
     cosines."""
-    feats = np.asarray(_check_feats(params, feats), dtype=np.float64)
+    _check_feats(params, feats)
+    feats = np.asarray(feats, dtype=np.float64)
     acts: dict[str, np.ndarray] = {}
     pooled = stats_pool(_frame_layers(params, feats, [len(feats)], np.empty, acts))
     embedding = pooled @ params.tensors["segment6.W"].T + params.tensors["segment6.b"]
@@ -229,18 +231,21 @@ def forward(
     """(embedding, per-class cosine logits) of one (T, feat_dim) matrix;
     for a list of them, (embeddings (n, EMBED_DIM), cosines (n, classes)).
 
-    Every utterance is checked before any arithmetic. The utterances are
-    then stacked in chunks of at most CHUNK_FRAMES frames, as in
-    loss_and_grads: one GEMM per frame layer per chunk, each utterance
-    pooled on its own rows, one segment6 GEMM per chunk and one cosine
-    GEMM at the end. Each frame layer reads only the layer before it, so
-    the call takes just three buffers from its own Workspace, sized for
-    its largest chunk: the stream and two that the layers of every chunk
-    use in turn. The returned arrays never alias them.
+    Every utterance's shape is checked with np.shape before any
+    arithmetic. The utterances are then stacked in chunks of at most
+    CHUNK_FRAMES frames, as in loss_and_grads: one GEMM per frame layer
+    per chunk, each utterance pooled on its own rows, one segment6 GEMM
+    per chunk and one cosine GEMM at the end. An utterance is converted to
+    an array only when its chunk is stacked, so a list of array-likes
+    that read themselves on conversion (archive.Record) is held one chunk
+    at a time. Each frame layer reads only the layer before it, so the
+    call takes just three buffers from its own Workspace, sized for its
+    largest chunk: the stream and two that the layers of every chunk use
+    in turn. The returned arrays never alias them.
     """
     batched = isinstance(feats, (list, tuple))
-    utts = [_check_feats(params, f) for f in (feats if batched else [feats])]
-    lengths = [len(f) for f in utts]
+    utts = feats if batched else [feats]
+    lengths = [_check_feats(params, f) for f in utts]
     chunks = _chunks(lengths)
     work = Workspace()
     frames = max((sum(lengths[i] for i in chunk) for chunk in chunks), default=0)
@@ -374,14 +379,15 @@ def loss_and_grads(
     Workspace for all its steps and passes it to every call; without one,
     the call allocates its own. The returned gradients never alias work.
     """
-    utts = [(_check_feats(params, feats), label) for feats, label in batch]
+    lengths = [_check_feats(params, feats) for feats, _ in batch]
+    utts = [(np.asarray(feats), label) for feats, label in batch]
     if not utts:
         raise ValueError("empty batch")
     grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     if work is None:
         work = Workspace()
     loss = 0.0
-    for chunk in _chunks([len(feats) for feats, _ in utts]):
+    for chunk in _chunks(lengths):
         work.rewind()
         loss += _add_chunk_grads(params, [utts[i] for i in chunk], aam, grads, work)
     return loss, grads

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from unitcat.archive import ArchiveError, ArchiveWriter, read_archive, write_archive
+from unitcat.archive import ArchiveError, ArchiveWriter, read_archive, read_index, write_archive
 
 
 def test_roundtrip_preserves_values_and_order(tmp_path):
@@ -72,3 +74,62 @@ def test_records_are_independent_copies(tmp_path):
     write_archive(base, [("x", np.ones((1, 2), dtype=np.float32))])
     back = read_archive(base)
     back["x"][0][0, 0] = 99.0  # must not fail on read-only buffers
+
+
+def test_read_holds_each_record_once(tmp_path):
+    base = tmp_path / "w"
+    rng = np.random.default_rng(1)
+    write_archive(base, [(f"u{i}", rng.standard_normal((200, 40))) for i in range(50)])
+    payload = base.with_suffix(".bin").stat().st_size
+    tracemalloc.start()
+    try:
+        back = read_archive(base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(r.nbytes for recs in back.values() for r in recs) == payload
+    assert peak <= 1.25 * payload
+
+
+def _archive_with_index(tmp_path, index):
+    base = tmp_path / "w"
+    write_archive(base, [("x", np.zeros((2, 4), dtype=np.float32)), ("y", np.ones((2, 4)))])
+    base.with_suffix(".tsv").write_text(index)
+    return base
+
+
+def test_read_refuses_a_negative_row_count_naming_the_line(tmp_path):
+    base = _archive_with_index(tmp_path, "x\t0\t2\t4\ny\t0\t-2\t4\n")
+    with pytest.raises(
+        ArchiveError, match=r"w\.tsv:2: rows must be a non-negative integer, got '-2'"
+    ):
+        read_archive(base)
+
+
+def test_read_refuses_a_negative_offset_naming_the_line(tmp_path):
+    base = _archive_with_index(tmp_path, "x\t-32\t2\t4\n")
+    with pytest.raises(
+        ArchiveError, match=r"w\.tsv:1: offset must be a non-negative integer, got '-32'"
+    ):
+        read_archive(base)
+
+
+def test_read_refuses_a_non_integer_field_naming_the_line(tmp_path):
+    base = _archive_with_index(tmp_path, "\nx\t0\t2\t4\ny\t32\t2\t4.0\n")
+    with pytest.raises(
+        ArchiveError, match=r"w\.tsv:3: cols must be a non-negative integer, got '4\.0'"
+    ):
+        read_archive(base)
+
+
+def test_record_view_reads_on_each_conversion_and_refuses_a_cut_data_file(tmp_path):
+    base = tmp_path / "w"
+    write_archive(base, [("x", np.zeros((2, 4))), ("x", np.ones((3, 4)))])
+    first, second = read_index(base)["x"]
+    assert np.shape(second) == (3, 4)
+    assert np.array_equal(np.asarray(second), np.ones((3, 4), dtype=np.float32))
+    with open(base.with_suffix(".bin"), "r+b") as f:
+        f.truncate(40)
+    assert np.array_equal(np.asarray(first), np.zeros((2, 4), dtype=np.float32))
+    with pytest.raises(ArchiveError, match="record at byte 32 is cut short"):
+        np.asarray(second)

@@ -414,7 +414,7 @@ def test_extract_runs_one_forward_pass_over_every_record_in_archive_order(
     extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
     assert len(calls) == 1
     # archive order: ids by first appearance, each id's records in turn
-    assert [f.tolist() for f in calls[0]] == [feats[i].tolist() for i in (0, 2, 1, 3)]
+    assert [np.asarray(f).tolist() for f in calls[0]] == [feats[i].tolist() for i in (0, 2, 1, 3)]
     embeddings = read_archive(tmp_path / "emb")
     assert [(utt, len(recs)) for utt, recs in embeddings.items()] == [("b", 2), ("a", 1), ("c", 1)]
 
@@ -445,6 +445,26 @@ def test_extract_writes_no_archive_when_the_forward_pass_fails(tmp_path, monkeyp
         extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
     assert not (tmp_path / "emb.tsv").exists()
     assert not (tmp_path / "emb.bin").exists()
+
+
+def test_extract_memory_does_not_grow_with_the_archive(tmp_path):
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+    rng = np.random.default_rng(8)
+
+    def archive_and_peak(n):
+        base = tmp_path / f"feats{n}"
+        write_archive(base, ((f"u{i}", rng.standard_normal((100, 40))) for i in range(n)))
+        tracemalloc.start()
+        try:
+            extract_embeddings(tmp_path / "params.bin", base, tmp_path / f"emb{n}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return base.with_suffix(".bin").stat().st_size, peak
+
+    small_bytes, small_peak = archive_and_peak(100)
+    large_bytes, large_peak = archive_and_peak(400)
+    assert large_peak - small_peak < 0.5 * (large_bytes - small_bytes), (small_peak, large_peak)
 
 
 def test_featurize_and_train_each_own_one_workspace_per_call(tmp_path, monkeypatch):

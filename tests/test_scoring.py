@@ -514,3 +514,29 @@ def test_roc_svg_is_wellformed_xml():
     assert "polyline" in svg
     assert "toy det" in svg
     assert "false alarm rate" in svg
+
+
+def _polyline_points(svg):
+    return ET.fromstring(svg).find("{http://www.w3.org/2000/svg}polyline").get("points")
+
+
+def test_roc_svg_draws_the_det_staircase_through_its_corners():
+    # nontargets 0.1, 0.5 and targets 0.3, 0.7, 0.9: by FAR ascending and FRR
+    # descending the sweep runs (0,1) (0,2/3) (0,1/3) (.5,1/3) (.5,0) (1,0) (1,0)
+    roc = sweep_rates(ScoreSet([0.1, 0.5, 0.3, 0.7, 0.9], [False, False, True, True, True]))
+    assert _polyline_points(roc_svg(roc)) == (
+        "45.00,45.00 45.00,251.67 200.00,251.67 200.00,355.00 355.00,355.00"
+    )
+    # a sweep read back from a file in any line order draws the same
+    shuffled = tuple(column[[3, 0, 6, 2, 5, 1, 4]] for column in roc)
+    assert roc_svg(shuffled) == roc_svg(roc)
+    # points that differ by less than the printed 0.01 px count as one
+    far, frr = np.array([0.0, 1e-5, 1e-5, 0.5, 1.0]), np.array([1.0, 1.0, 0.5, 0.0, 0.0])
+    assert _polyline_points(roc_svg((np.arange(5.0), far, frr))) == (
+        "45.00,45.00 45.00,200.00 200.00,355.00 355.00,355.00"
+    )
+    # separated scores (EER 0) leave the two axes' corner, however many trials
+    separated = ScoreSet(np.arange(2000.0), np.arange(2000) >= 1000)
+    assert _polyline_points(roc_svg(sweep_rates(separated))) == (
+        "45.00,45.00 45.00,355.00 355.00,355.00"
+    )

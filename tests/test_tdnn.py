@@ -390,6 +390,40 @@ def test_batched_forward_refuses_a_bad_utterance_before_any_gemm(where, bad, mat
     assert passes == []
 
 
+class _LoggedArrayLike:
+    """An array-like with a shape that logs each conversion to an array."""
+
+    def __init__(self, arr, key, log):
+        self.shape, self._arr, self._key, self._log = arr.shape, arr, key, log
+
+    def __array__(self, dtype=None, copy=None):
+        self._log.append(self._key)
+        return self._arr
+
+
+def test_batched_forward_converts_array_likes_one_chunk_at_a_time(monkeypatch):
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=64)
+    lengths = [200, 150, 100, 300, 90]  # chunks: utterances 0-1, 2, 3, 4
+    feats = [_feats(t, seed=700 + t) for t in lengths]
+    want = forward(params, feats)
+    log = []
+    real_frame_layers = tdnn._frame_layers
+
+    def frame_layers(*args):
+        log.append("pass")
+        return real_frame_layers(*args)
+
+    monkeypatch.setattr(tdnn, "_frame_layers", frame_layers)
+    got = forward(params, [_LoggedArrayLike(f, i, log) for i, f in enumerate(feats)])
+    assert log == [0, 1, "pass", 2, "pass", 3, "pass", 4, "pass"]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    log.clear()
+    bad = [_LoggedArrayLike(f, i, log) for i, f in enumerate(feats[:-1] + [feats[-1][:14]])]
+    with pytest.raises(ValueError, match="at least 15"):
+        forward(params, bad)
+    assert log == []
+
+
 def test_batched_forward_workspace_holds_the_stream_and_two_layer_buffers(monkeypatch):
     params = init_tdnn(TdnnConfig(num_classes=3), seed=63)
     lengths = [80, 95, 100, 60, CHUNK_FRAMES + 10, 40, 77]

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import validate_config
-from .corpus import DEFAULT_SILENCE_LABELS
+from .config import PipelineConfig, parse_snr_list, parse_units, validate_config
 from .features import SpecAugmentParams
-from .kws import KeywordSpec, frr_at_far, kws_roc, load_labels, load_posteriors, utterance_confidence
+from .kws import (DEFAULT_SEARCH_WINDOW, DEFAULT_SMOOTH_WINDOW, KeywordSpec, frr_at_far, kws_roc,
+                  load_labels, load_posteriors, utterance_confidence)
 from .pipeline import (
     PipelineError,
     augment_audio,
@@ -43,66 +44,67 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _units_arg(raw: str) -> tuple[str, ...]:
-    units = tuple(raw.split())
-    if not units:
-        raise argparse.ArgumentTypeError("expected at least one unit")
-    return units
+def _arg(parse):
+    """A config parser as an argparse type: its refusal is a usage error
+    (exit 1) that keeps its message."""
 
+    def convert(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _snr_arg(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad SNR list {raw!r}") from None
+    return convert
 
 
 def build_parser() -> _Parser:
+    """Flags that mirror a config key default to PipelineConfig's value."""
+    default = {f.name: f.default for f in fields(PipelineConfig)}
     parser = _Parser(prog="unitcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-toy", parents=[], help="generate a synthetic fixture corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--speakers", type=int, default=5)
-    p.add_argument("--units", type=_units_arg, default=DEFAULT_UNITS)
+    p.add_argument("--units", type=_arg(parse_units), default=DEFAULT_UNITS)
     p.add_argument("--uncovered", default="", help="comma list of speakers missing a unit")
 
     p = sub.add_parser("segment", help="build per-speaker unit libraries")
     p.add_argument("--manifest", required=True)
     p.add_argument("--ali", required=True)
-    p.add_argument("--units", type=_units_arg, required=True)
+    p.add_argument("--units", type=_arg(parse_units), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--audio-root", default=None)
-    p.add_argument("--silence", type=_units_arg, default=tuple(sorted(DEFAULT_SILENCE_LABELS)))
+    p.add_argument("--silence", type=_arg(parse_units), default=default["silence_labels"])
 
     p = sub.add_parser("synth", help="synthesize utterances from unit libraries")
     p.add_argument("--libdir", required=True)
-    p.add_argument("--transcript", type=_units_arg, required=True)
+    p.add_argument("--transcript", type=_arg(parse_units), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--noise-dir", default=None)
-    p.add_argument("--snr-list", type=_snr_arg, default=())
-    p.add_argument("--rir-dir", default=None)
+    p.add_argument("--noise-dir", default=default["noise_dir"])
+    p.add_argument("--snr-list", type=_arg(parse_snr_list), default=default["snr_list"])
+    p.add_argument("--rir-dir", default=default["rir_dir"])
 
     p = sub.add_parser("featurize", help="extract normalized fbank features")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="archive base path (.bin/.tsv)")
     p.add_argument("--audio-root", default=None)
     p.add_argument("--ali", default=None, help="alignments for VAD filtering")
-    p.add_argument("--cmn-window", type=int, default=300)
+    p.add_argument("--cmn-window", type=int, default=default["cmn_window"])
     p.add_argument("--specaug", action="store_true", help="also write a masked 'train' archive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--freq-mask-width", type=int, default=8)
-    p.add_argument("--num-freq-masks", type=int, default=1)
-    p.add_argument("--time-mask-width", type=int, default=20)
-    p.add_argument("--num-time-masks", type=int, default=1)
+    p.add_argument("--freq-mask-width", type=int, default=default["freq_mask_width"])
+    p.add_argument("--num-freq-masks", type=int, default=default["num_freq_masks"])
+    p.add_argument("--time-mask-width", type=int, default=default["time_mask_width"])
+    p.add_argument("--num-time-masks", type=int, default=default["num_time_masks"])
 
     p = sub.add_parser("train-toy", help="smoke-train the embedding network")
     p.add_argument("--features", required=True, help="feature archive base path")
     p.add_argument("--manifest", required=True, help="manifest providing speaker labels")
     p.add_argument("--out", required=True, help="parameter file to write")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--steps", type=int, default=default["train_steps"])
+    p.add_argument("--lr", type=float, default=default["learn_rate"])
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("extract", help="extract embeddings with trained parameters")
@@ -117,9 +119,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="compute EER and minDCF from a score file")
     p.add_argument("--scores", required=True)
-    p.add_argument("--p-target", type=float, default=0.01)
-    p.add_argument("--c-miss", type=float, default=1.0)
-    p.add_argument("--c-fa", type=float, default=1.0)
+    p.add_argument("--p-target", type=float, default=default["p_target"])
+    p.add_argument("--c-miss", type=float, default=default["c_miss"])
+    p.add_argument("--c-fa", type=float, default=default["c_fa"])
     p.add_argument("--roc", default=None, help="write the sweep as TSV here")
 
     p = sub.add_parser("plot-roc", help="render a sweep TSV as SVG")
@@ -131,9 +133,9 @@ def build_parser() -> _Parser:
     p.add_argument("--pos", required=True, help="positive posterior archive base")
     p.add_argument("--neg", required=True, help="negative posterior archive base")
     p.add_argument("--labels", required=True)
-    p.add_argument("--keyword", type=_units_arg, required=True)
-    p.add_argument("--smooth", type=int, default=30)
-    p.add_argument("--search", type=int, default=100)
+    p.add_argument("--keyword", type=_arg(parse_units), required=True)
+    p.add_argument("--smooth", type=int, default=DEFAULT_SMOOTH_WINDOW)
+    p.add_argument("--search", type=int, default=DEFAULT_SEARCH_WINDOW)
     p.add_argument("--exclude-first", action="store_true")
     p.add_argument("--out", required=True)
 

@@ -1,42 +1,22 @@
 """Pipeline configuration: sectioned key=value text, strictly validated.
 
-Unknown keys, duplicate keys, type errors and missing required keys are
-all rejected with the offending line number so config drift fails loudly.
+PipelineConfig is the one table of run settings: each field carries its
+[section] key, its parser and its default, if it has one. Unknown keys,
+duplicate keys and values their parser refuses are rejected with the
+offending line number; a missing required key, which has no line, is
+rejected by name. So config drift fails loudly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 from .corpus import DEFAULT_SILENCE_LABELS
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class PipelineConfig:
-    corpus_dir: str
-    out_dir: str
-    transcript: tuple[str, ...]
-    seed: int
-    noise_dir: str | None = None
-    rir_dir: str | None = None
-    snr_list: tuple[float, ...] = ()
-    silence_labels: frozenset[str] = DEFAULT_SILENCE_LABELS
-    cmn_window: int = 300
-    spec_augment: bool = False
-    freq_mask_width: int = 8
-    num_freq_masks: int = 1
-    time_mask_width: int = 20
-    num_time_masks: int = 1
-    train_steps: int = 200
-    learn_rate: float = 0.05
-    p_target: float = 0.01
-    c_miss: float = 1.0
-    c_fa: float = 1.0
 
 
 def _parse_bool(raw: str) -> bool:
@@ -47,7 +27,8 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_units(raw: str) -> tuple[str, ...]:
+def parse_units(raw: str) -> tuple[str, ...]:
+    """Space-separated units, at least one."""
     units = tuple(raw.split())
     if not units:
         raise ValueError("expected at least one unit")
@@ -77,39 +58,55 @@ _parse_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a
 _parse_probability = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+def parse_snr_list(raw: str) -> tuple[float, ...]:
+    """Comma-separated SNRs in dB, empty items skipped; see check_snr_list."""
+    return check_snr_list(tuple(float(p) for p in raw.split(",") if p.strip()))
 
 
-_REQUIRED = object()
+def check_snr_list(snrs: tuple[float, ...]) -> tuple[float, ...]:
+    """snrs, unless one is not finite or repeats the %g form of an earlier
+    one: that form ends its noisy copy's utterance id."""
+    seen: set[str] = set()
+    for snr in snrs:
+        if not math.isfinite(snr):
+            raise ValueError(f"SNR {snr:g} is not finite")
+        if f"{snr:g}" in seen:
+            raise ValueError(f"SNR {snr:g} is listed twice; it names its copy (<id>-noise{snr:g})")
+        seen.add(f"{snr:g}")
+    return snrs
 
-# (section, key) -> (field name, parser, default)
-_SCHEMA = {
-    ("paths", "corpus_dir"): ("corpus_dir", str, _REQUIRED),
-    ("paths", "out_dir"): ("out_dir", str, _REQUIRED),
-    ("paths", "noise_dir"): ("noise_dir", str, None),
-    ("paths", "rir_dir"): ("rir_dir", str, None),
-    ("synthesis", "transcript"): ("transcript", _parse_units, _REQUIRED),
-    ("synthesis", "seed"): ("seed", int, _REQUIRED),
-    ("synthesis", "silence_labels"): (
-        "silence_labels",
-        _parse_label_set,
-        DEFAULT_SILENCE_LABELS,
-    ),
-    ("augment", "snr_list"): ("snr_list", _parse_float_list, ()),
-    ("features", "cmn_window"): ("cmn_window", _parse_positive_int, 300),
-    ("features", "spec_augment"): ("spec_augment", _parse_bool, False),
-    ("features", "freq_mask_width"): ("freq_mask_width", _parse_nonnegative_int, 8),
-    ("features", "num_freq_masks"): ("num_freq_masks", _parse_nonnegative_int, 1),
-    ("features", "time_mask_width"): ("time_mask_width", _parse_nonnegative_int, 20),
-    ("features", "num_time_masks"): ("num_time_masks", _parse_nonnegative_int, 1),
-    ("train", "steps"): ("train_steps", _parse_positive_int, 200),
-    ("train", "learn_rate"): ("learn_rate", _parse_learn_rate, 0.05),
-    ("metrics", "p_target"): ("p_target", _parse_probability, 0.01),
-    ("metrics", "c_miss"): ("c_miss", _parse_positive_float, 1.0),
-    ("metrics", "c_fa"): ("c_fa", _parse_positive_float, 1.0),
-}
+
+def _setting(section: str, key: str, parse, default=MISSING):
+    """A field read from [section] key by parse; required without a default."""
+    return field(default=default, metadata={"key": (section, key), "parse": parse})
+
+
+@dataclass
+class PipelineConfig:
+    """Every run setting; validate_config parses them, and reports a bad or
+    missing one, in field order."""
+
+    corpus_dir: str = _setting("paths", "corpus_dir", str)
+    out_dir: str = _setting("paths", "out_dir", str)
+    transcript: tuple[str, ...] = _setting("synthesis", "transcript", parse_units)
+    seed: int = _setting("synthesis", "seed", int)
+    noise_dir: str | None = _setting("paths", "noise_dir", str, None)
+    rir_dir: str | None = _setting("paths", "rir_dir", str, None)
+    snr_list: tuple[float, ...] = _setting("augment", "snr_list", parse_snr_list, ())
+    silence_labels: frozenset[str] = _setting(
+        "synthesis", "silence_labels", _parse_label_set, DEFAULT_SILENCE_LABELS
+    )
+    cmn_window: int = _setting("features", "cmn_window", _parse_positive_int, 300)
+    spec_augment: bool = _setting("features", "spec_augment", _parse_bool, False)
+    freq_mask_width: int = _setting("features", "freq_mask_width", _parse_nonnegative_int, 8)
+    num_freq_masks: int = _setting("features", "num_freq_masks", _parse_nonnegative_int, 1)
+    time_mask_width: int = _setting("features", "time_mask_width", _parse_nonnegative_int, 20)
+    num_time_masks: int = _setting("features", "num_time_masks", _parse_nonnegative_int, 1)
+    train_steps: int = _setting("train", "steps", _parse_positive_int, 200)
+    learn_rate: float = _setting("train", "learn_rate", _parse_learn_rate, 0.05)
+    p_target: float = _setting("metrics", "p_target", _parse_probability, 0.01)
+    c_miss: float = _setting("metrics", "c_miss", _parse_positive_float, 1.0)
+    c_fa: float = _setting("metrics", "c_fa", _parse_positive_float, 1.0)
 
 
 def validate_config(text: str) -> PipelineConfig:
@@ -138,33 +135,19 @@ def validate_config(text: str) -> PipelineConfig:
             )
         entries[(section, key)] = (value, lineno)
 
+    settings = {f.metadata["key"]: f for f in fields(PipelineConfig)}
     for (section, key), (_, lineno) in entries.items():
-        if (section, key) not in _SCHEMA:
+        if (section, key) not in settings:
             raise ConfigError(f"line {lineno}: unknown key {section}.{key}")
 
     values: dict[str, object] = {}
-    for (section, key), (field, parser, default) in _SCHEMA.items():
+    for (section, key), setting in settings.items():
         if (section, key) in entries:
             raw_value, lineno = entries[(section, key)]
             try:
-                values[field] = parser(raw_value)
+                values[setting.name] = setting.metadata["parse"](raw_value)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {section}.{key}: {exc}") from None
-        elif default is _REQUIRED:
+        elif setting.default is MISSING:
             raise ConfigError(f"missing required key {section}.{key}")
-        else:
-            values[field] = default
     return PipelineConfig(**values)  # type: ignore[arg-type]
-
-
-def default_config_text(corpus_dir: str, out_dir: str, transcript: str, seed: int) -> str:
-    """A minimal runnable config, used by the demo and tests."""
-    return (
-        "[paths]\n"
-        f"corpus_dir = {corpus_dir}\n"
-        f"out_dir = {out_dir}\n"
-        "\n"
-        "[synthesis]\n"
-        f"transcript = {transcript}\n"
-        f"seed = {seed}\n"
-    )

@@ -87,7 +87,11 @@ def format_alignment(entries: list[AlignmentEntry]) -> str:
 
 
 def load_alignment(path: str | Path) -> list[AlignmentEntry]:
-    return parse_alignment(Path(path).read_text(encoding="utf-8"))
+    """parse_alignment of a file; a refusal names the file before its line."""
+    try:
+        return parse_alignment(Path(path).read_text(encoding="utf-8"))
+    except AlignmentError as exc:
+        raise AlignmentError(f"{path}: {exc}") from None
 
 
 def group_alignments(entries: list[AlignmentEntry]) -> dict[str, list[AlignmentEntry]]:
@@ -158,7 +162,11 @@ def format_manifest(records: list[UtteranceRecord]) -> str:
 
 
 def load_manifest(path: str | Path) -> list[UtteranceRecord]:
-    return parse_manifest(Path(path).read_text(encoding="utf-8"))
+    """parse_manifest of a file; a refusal names the file before its line."""
+    try:
+        return parse_manifest(Path(path).read_text(encoding="utf-8"))
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def save_manifest(path: str | Path, records: list[UtteranceRecord]) -> None:

@@ -347,9 +347,9 @@ def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -
     forward pass; the embedding archive is written only once they all exist.
 
     The records stay archive.Record views: the shape check reads only the
-    index, the non-finite check reads one record at a time, and forward
-    reads each record again when its chunk is stacked, so the features are
-    never all in memory at once."""
+    index, the non-finite check reads one record at a time through one
+    open data file, and forward reads each record again when its chunk is
+    stacked, so the features are never all in memory at once."""
     params = load_params(_require(params_path, "trained parameters"))
     _require(features_base.with_suffix(".tsv"), "feature archive")
     records = [(utt_id, r) for utt_id, recs in read_index(features_base).items() for r in recs]
@@ -364,7 +364,10 @@ def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -
             f"extraction needs at least {MIN_FRAMES} frames of {feat_dim} features per "
             f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
         )
-    nonfinite = [utt_id for utt_id, record in records if not np.isfinite(record).all()]
+    with open(features_base.with_suffix(".bin"), "rb") as data:
+        nonfinite = [
+            utt_id for utt_id, record in records if not np.isfinite(record.read(data)).all()
+        ]
     if nonfinite:
         raise ValueError(
             f"{len(nonfinite)} feature records hold non-finite values: "

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform, load_wav, save_wav
+from .config import check_snr_list
 from .corpus import UtteranceRecord, save_manifest
 from .rng import SplitMix64, derive_seed
 from .segmentation import UnitLibrary, library_stats
@@ -285,11 +286,16 @@ def augment_corpus(
     wav/<utterance_id>.wav, one channel per copy: the noisy copies in
     snr_list order, then the reverberant one. The augmented manifest names
     each copy's channel in its channel index column. Copies that differ in
-    length or rate are refused before their file is written. Noise and
-    RIR files are chosen by per-utterance seeded draws, so output is
-    deterministic. Returns the augmented records and the per-copy report
-    rows (clipped-sample counts included).
+    length or rate are refused before their file is written, and an SNR
+    that is not finite or repeats an earlier one (see check_snr_list)
+    before any file is. Noise and RIR files are chosen by per-utterance
+    seeded draws, so output is deterministic. Returns the augmented
+    records and the per-copy report rows (clipped-sample counts included).
     """
+    try:
+        check_snr_list(tuple(snr_list or ()))
+    except ValueError as exc:
+        raise AugmentError(str(exc)) from None
     audio_root = Path(audio_root)
     out_dir = Path(out_dir)
     noises = (

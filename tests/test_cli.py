@@ -1,11 +1,13 @@
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from unitcat.archive import read_archive, write_archive
 from unitcat.cli import build_parser, main
-from unitcat.kws import save_labels
+from unitcat.config import PipelineConfig
+from unitcat.kws import DEFAULT_SEARCH_WINDOW, DEFAULT_SMOOTH_WINDOW, save_labels
 from unitcat.tdnn import TdnnConfig, init_tdnn, load_params, save_params
 
 
@@ -39,6 +41,77 @@ def test_snr_list_argument_parsing():
          "--out", "y", "--snr-list", "0,5,10"]
     )
     assert args.snr_list == (0.0, 5.0, 10.0)
+
+
+# each subcommand with its required arguments -> {flag's dest: the config field it mirrors}
+CONFIG_FLAGS = {
+    ("segment", "--manifest", "m", "--ali", "a", "--units", "ni", "--out", "o"): {
+        "silence": "silence_labels",
+    },
+    ("synth", "--libdir", "l", "--transcript", "ni", "--seed", "1", "--out", "o"): {
+        "noise_dir": "noise_dir", "snr_list": "snr_list", "rir_dir": "rir_dir",
+    },
+    ("featurize", "--manifest", "m", "--out", "o"): {
+        "cmn_window": "cmn_window", "freq_mask_width": "freq_mask_width",
+        "num_freq_masks": "num_freq_masks", "time_mask_width": "time_mask_width",
+        "num_time_masks": "num_time_masks",
+    },
+    ("train-toy", "--features", "f", "--manifest", "m", "--out", "o"): {
+        "steps": "train_steps", "lr": "learn_rate",
+    },
+    ("eval", "--scores", "s"): {"p_target": "p_target", "c_miss": "c_miss", "c_fa": "c_fa"},
+}
+
+
+def test_flags_that_mirror_config_keys_take_pipeline_config_defaults(monkeypatch):
+    # each default must be read from PipelineConfig, not written again as a literal
+    settings = {f.name: f for f in fields(PipelineConfig)}
+    marks = {name: object() for flags in CONFIG_FLAGS.values() for name in flags.values()}
+    for name, mark in marks.items():
+        monkeypatch.setattr(settings[name], "default", mark)
+    for argv, flags in CONFIG_FLAGS.items():
+        args = build_parser().parse_args(list(argv))
+        for dest, name in flags.items():
+            assert getattr(args, dest) is marks[name], dest
+
+
+def test_kws_eval_flags_take_the_kws_defaults():
+    args = build_parser().parse_args(
+        ["kws-eval", "--pos", "p", "--neg", "n", "--labels", "l", "--keyword", "ni", "--out", "o"]
+    )
+    assert (args.smooth, args.search) == (DEFAULT_SMOOTH_WINDOW, DEFAULT_SEARCH_WINDOW)
+
+
+@pytest.mark.parametrize(
+    "raw, refusal",
+    [("0,nan", "SNR nan is not finite"), ("-inf", "SNR -inf is not finite"),
+     ("5,5.0", "SNR 5 is listed twice"), ("0,x", "could not convert string to float: 'x'")],
+)
+def test_snr_list_flag_refusals_are_usage_errors_with_the_config_message(raw, refusal, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--libdir", "l", "--transcript", "ni", "--seed", "1", "--out", "o",
+                f"--snr-list={raw}")
+    assert exc.value.code == 1
+    assert f"argument --snr-list: {refusal}" in capsys.readouterr().err
+
+
+def test_unit_list_flag_refusal_is_a_usage_error_with_the_config_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth", "--libdir", "l", "--transcript", " ", "--seed", "1", "--out", "o")
+    assert exc.value.code == 1
+    assert "argument --transcript: expected at least one unit" in capsys.readouterr().err
+
+
+def test_run_refuses_a_repeated_snr_naming_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[paths]\ncorpus_dir = c\nout_dir = o\n[synthesis]\ntranscript = ni\nseed = 1\n"
+        "[augment]\nsnr_list = 5, 5.0\n"
+    )
+    assert run_cli("run", "--config", str(cfg)) == 2
+    assert "line 8: bad value for augment.snr_list: SNR 5 is listed twice" in (
+        capsys.readouterr().err
+    )
 
 
 def test_validation_error_exits_2(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from unitcat.config import (
     ConfigError,
-    default_config_text,
+    PipelineConfig,
     validate_config,
 )
 from unitcat.corpus import DEFAULT_SILENCE_LABELS
@@ -37,13 +38,6 @@ def test_minimal_config_and_defaults():
     assert cfg.learn_rate == 0.05
     assert cfg.p_target == 0.01
     assert cfg.c_miss == 1.0 and cfg.c_fa == 1.0
-
-
-def test_default_config_text_is_valid():
-    text = default_config_text("/c", "/o", "ni hao", 3)
-    cfg = validate_config(text)
-    assert cfg.transcript == ("ni", "hao")
-    assert cfg.seed == 3
 
 
 def test_full_config():
@@ -217,3 +211,49 @@ def test_readme_config_example_parses():
     assert cfg.transcript == ("ni", "hao", "mi", "ya")
     assert cfg.silence_labels == frozenset({"sil", "spn"})
     assert cfg.snr_list == (0.0, 5.0, 10.0)
+
+
+# --- PipelineConfig as the one table of settings -------------------------------
+
+
+def test_every_setting_maps_to_one_distinct_key():
+    keys = [f.metadata["key"] for f in fields(PipelineConfig)]
+    assert all(len(key) == 2 for key in keys)
+    assert len(set(keys)) == len(keys) == len(fields(PipelineConfig))
+
+
+def test_required_settings_are_the_paths_transcript_and_seed():
+    required = {f.name for f in fields(PipelineConfig) if f.default is MISSING}
+    assert required == {"corpus_dir", "out_dir", "transcript", "seed"}
+
+
+def test_readme_config_example_sets_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    section, keys = None, set()
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line and not line.startswith("#"):
+            keys.add((section, line.partition("=")[0].strip()))
+    assert keys == {f.metadata["key"] for f in fields(PipelineConfig)}
+
+
+@pytest.mark.parametrize(
+    "raw, refusal",
+    [
+        ("0, nan", "SNR nan is not finite"),
+        ("inf", "SNR inf is not finite"),
+        ("-inf, 5", "SNR -inf is not finite"),
+        ("5, 5.0", "SNR 5 is listed twice"),
+        ("0, 10, 1e1", "SNR 10 is listed twice"),
+    ],
+)
+def test_snr_list_refuses_non_finite_and_repeated_values(raw, refusal):
+    with pytest.raises(ConfigError, match=f"line 9: bad value for augment.snr_list: {refusal}"):
+        validate_config(MINIMAL + f"[augment]\nsnr_list = {raw}\n")
+
+
+def test_snr_list_keeps_values_whose_copy_ids_differ():
+    cfg = validate_config(MINIMAL + "[augment]\nsnr_list = -5, 0, 0.5, 5\n")
+    assert cfg.snr_list == (-5.0, 0.0, 0.5, 5.0)

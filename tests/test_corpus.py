@@ -9,6 +9,7 @@ from unitcat.corpus import (
     format_alignment,
     format_manifest,
     group_alignments,
+    load_alignment,
     load_manifest,
     parse_alignment,
     parse_manifest,
@@ -127,3 +128,16 @@ def test_manifest_transcript_split_and_empty():
 def test_manifest_format_omits_missing_channel():
     text = format_manifest([UtteranceRecord("u", "s", ("ni",), "a.wav")])
     assert text == "u\ts\tni\ta.wav\n"
+
+
+def test_loaded_manifest_and_alignment_errors_name_their_file(tmp_path):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("u1\ts1\tni\ta.wav\nu1\ts1\tni\tb.wav\n", encoding="utf-8")
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(manifest)
+    assert str(exc.value).startswith(f"{manifest}: line 2: duplicate utterance_id 'u1'")
+    ali = tmp_path / "ali.ctm"
+    ali.write_text("a 1 0 0.5 ni\na 1 0 0.5\n", encoding="utf-8")
+    with pytest.raises(AlignmentError) as exc:
+        load_alignment(ali)
+    assert str(exc.value).startswith(f"{ali}: line 2: expected 5 fields")

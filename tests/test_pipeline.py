@@ -432,6 +432,27 @@ def test_extract_refuses_non_finite_records_naming_them(tmp_path):
     assert not (tmp_path / "emb.tsv").exists()
 
 
+def test_extract_checks_values_through_one_open_data_file(tmp_path, monkeypatch):
+    import builtins
+
+    feats = np.random.default_rng(8).standard_normal((4, 30, 40)).astype(np.float32)
+    write_archive(tmp_path / "feats", [(f"u{i}", f) for i, f in enumerate(feats)])
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+    data = tmp_path / "feats.bin"
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(data):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
+    # one open for the non-finite check, then one per record as forward stacks it
+    assert len(opens) == 1 + len(feats)
+
+
 def test_extract_writes_no_archive_when_the_forward_pass_fails(tmp_path, monkeypatch):
     feats = np.random.default_rng(7).standard_normal((30, 40)).astype(np.float32)
     write_archive(tmp_path / "feats", [("a", feats), ("b", feats)])

@@ -515,3 +515,24 @@ def test_augment_corpus_refuses_copies_that_do_not_fit_one_file(tmp_path, monkey
             records, tmp_path, out_dir, 5, [tmp_path / "noise.wav"], [0.0], [tmp_path / "rir.wav"]
         )
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "snrs, refusal",
+    [([0.0, float("nan")], "SNR nan is not finite"), ([float("-inf")], "SNR -inf is not finite"),
+     ([5.0, 5.0000001], "SNR 5 is listed twice")],
+)
+def test_augment_corpus_refuses_non_finite_and_repeated_snrs_before_writing(
+    tmp_path, snrs, refusal
+):
+    from unitcat.audio import save_wav
+    from unitcat.corpus import UtteranceRecord
+
+    rng = np.random.default_rng(4)
+    save_wav(tmp_path / "wav" / "u0.wav", Waveform(rng.integers(-3000, 3000, 800, np.int16), 16000))
+    save_wav(tmp_path / "noise.wav", Waveform(rng.integers(-3000, 3000, 500, np.int16), 16000))
+    records = [UtteranceRecord("u0", "spk0", ("ni",), "wav/u0.wav")]
+    out_dir = tmp_path / "aug"
+    with pytest.raises(AugmentError, match=refusal):
+        augment_corpus(records, tmp_path, out_dir, 5, [tmp_path / "noise.wav"], snrs)
+    assert not out_dir.exists()

@@ -83,7 +83,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-dir", default=default["noise_dir"])
-    p.add_argument("--snr-list", type=_arg(parse_snr_list), default=default["snr_list"])
+    p.add_argument("--snr-list", type=_arg(parse_snr_list), default=default["snr_list"],
+                   help="comma-separated SNRs in dB; join a list that starts with a negative "
+                   "SNR with =, as in --snr-list=-5,0")
     p.add_argument("--rir-dir", default=default["rir_dir"])
 
     p = sub.add_parser("featurize", help="extract normalized fbank features")

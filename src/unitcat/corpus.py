@@ -8,6 +8,7 @@ audio_path and an optional channel index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +72,10 @@ def parse_alignment(text: str) -> list[AlignmentEntry]:
             raise AlignmentError(
                 f"line {lineno}: non-numeric time field in {start_s!r} / {duration_s!r}"
             ) from None
+        if not (math.isfinite(start) and math.isfinite(duration)):
+            raise AlignmentError(
+                f"line {lineno}: non-finite time field in {start_s!r} / {duration_s!r}"
+            )
         if start < 0:
             raise AlignmentError(f"line {lineno}: negative start time {start}")
         if duration <= 0:

@@ -52,7 +52,8 @@ class PosteriorStream:
                 f"{self.probs.shape[1]} posterior columns but {len(self.labels)} labels"
             )
         if self.probs.size:
-            if np.min(self.probs) < 0.0 or np.max(self.probs) > 1.0:
+            # NaN fails both comparisons, so it is refused here too
+            if not np.all((self.probs >= 0.0) & (self.probs <= 1.0)):
                 raise KwsError("posterior values must lie in [0, 1]")
             sums = self.probs.sum(axis=1)
             worst = float(np.max(np.abs(sums - 1.0)))
@@ -206,6 +207,9 @@ def load_posteriors(base: str | Path, labels_path: str | Path) -> dict[str, Post
     streams: dict[str, PosteriorStream] = {}
     for utt_id, records in read_archive(base).items():
         if len(records) != 1:
-            raise KwsError(f"utterance {utt_id!r} has {len(records)} posterior records")
-        streams[utt_id] = PosteriorStream(records[0].astype(np.float64), labels)
+            raise KwsError(f"{base}: utterance {utt_id!r} has {len(records)} posterior records")
+        try:
+            streams[utt_id] = PosteriorStream(records[0].astype(np.float64), labels)
+        except KwsError as exc:
+            raise KwsError(f"{base}: utterance {utt_id!r}: {exc}") from None
     return streams

@@ -2,12 +2,14 @@
 
 The decision rule is fixed as accept iff score >= threshold, so
 FAR(t) = |{nontarget >= t}| / |nontarget| and FRR(t) = |{target < t}| /
-|target|. Rates are evaluated at every distinct score plus -inf/+inf
-sentinels; the equal-error rate interpolates linearly on that polyline,
-and the detection cost is minimized exactly over the same sweep. One
-sweep yields threshold, FAR and FRR arrays, each metric is an array pass
-over them, and that (thresholds, far, frr) triple is the DET curve that
-format_roc writes, parse_roc reads and roc_svg draws.
+|target|. sweep_rates evaluates the rates at every distinct score plus
+-inf/+inf sentinels, and that (thresholds, far, frr) triple is the DET
+curve that format_roc writes, parse_roc reads and roc_svg draws.
+compute_det_metrics is the one place that checks the detection-cost
+parameters and computes the metrics: it sweeps once, interpolates the
+equal-error rate linearly on that polyline and minimizes the detection
+cost exactly over the same points. compute_eer and compute_min_dcf read
+their pair off its result.
 
 A trial list holds no object per trial: ``ids`` lists every id once, in
 order of first use, row i of the (n, 2) array ``pairs`` holds trial i's
@@ -83,16 +85,6 @@ class ScoreSet:
     def __len__(self) -> int:
         return len(self.scores)
 
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
-        """(target scores, nontarget scores); both must be non-empty."""
-        targets = self.scores[self.is_target]
-        nontargets = self.scores[~self.is_target]
-        if len(targets) == 0 or len(nontargets) == 0:
-            raise ScoringError(
-                "metrics need at least one target and one nontarget score"
-            )
-        return targets, nontargets
-
 
 @dataclass
 class DetMetrics:
@@ -118,7 +110,10 @@ def sweep_rates(s: ScoreSet) -> Roc:
     nonfinite = np.count_nonzero(~np.isfinite(s.scores))
     if nonfinite:
         raise ScoringError(f"{nonfinite} of {len(s)} scores are not finite")
-    targets, nontargets = s.split()  # copies, so they may be sorted in place
+    # boolean indexing copies, so both may be sorted in place
+    targets, nontargets = s.scores[s.is_target], s.scores[~s.is_target]
+    if len(targets) == 0 or len(nontargets) == 0:
+        raise ScoringError("metrics need at least one target and one nontarget score")
     targets.sort()
     nontargets.sort()
     thresholds = np.concatenate(
@@ -131,52 +126,46 @@ def sweep_rates(s: ScoreSet) -> Roc:
     return thresholds, far, frr
 
 
-def _eer(thresholds: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
-    # d starts at +1 and ends at -1; the first segment with d0 >= 0 >= d1
-    # holds the crossing, and there d0 > 0: a zero d0 would need a negative
-    # d before it, hence an earlier crossing
+def compute_det_metrics(
+    s: ScoreSet,
+    p_target: float = DEFAULT_P_TARGET,
+    c_miss: float = 1.0,
+    c_fa: float = 1.0,
+) -> DetMetrics:
+    """EER and minimum normalized detection cost, both read off one sweep.
+
+    The EER interpolates linearly where FAR - FRR first changes sign.
+    DCF(t) = c_miss*p_target*FRR(t) + c_fa*(1-p_target)*FAR(t), divided by
+    the best uninformed-decision cost; ties keep the lowest threshold.
+    """
+    if not 0.0 < p_target < 1.0:
+        raise ScoringError(f"p_target must be in (0, 1), got {p_target}")
+    if not (0.0 < c_miss < math.inf and 0.0 < c_fa < math.inf):
+        raise ScoringError(f"costs must be finite and positive, got c_miss={c_miss}, c_fa={c_fa}")
+    sweep = thresholds, far, frr = sweep_rates(s)
+    # d starts at +1 and ends at -1, so a first d <= 0 exists and the one
+    # before it is positive
     d = far - frr
-    crossings = np.flatnonzero((d[:-1] >= 0) & (d[1:] <= 0))
-    if len(crossings) == 0:
-        raise ScoringError("no FAR/FRR crossing found")  # unreachable for valid sets
-    k = int(crossings[0])
+    k = int(np.argmax(d <= 0)) - 1
     t0, t1 = float(thresholds[k]), float(thresholds[k + 1])
     far0, far1 = float(far[k]), float(far[k + 1])
     d0, d1 = float(d[k]), float(d[k + 1])
     alpha = d0 / (d0 - d1)
     eer = far0 + alpha * (far1 - far0)
     if math.isinf(t0) or math.isinf(t1):
-        threshold = t1 if math.isinf(t0) else t0
+        eer_t = t1 if math.isinf(t0) else t0
     else:
-        threshold = t0 + alpha * (t1 - t0)
-    return float(eer), float(threshold)
+        eer_t = t0 + alpha * (t1 - t0)
+    cost = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
+    j = int(np.argmin(cost))  # the first minimum: ties keep the lowest threshold
+    normalizer = min(c_miss * p_target, c_fa * (1.0 - p_target))
+    return DetMetrics(eer, eer_t, float(cost[j] / normalizer), float(thresholds[j]), sweep)
 
 
 def compute_eer(s: ScoreSet) -> tuple[float, float]:
-    """Equal-error rate and its threshold, interpolating between sweep
-    points where FAR - FRR changes sign."""
-    return _eer(*sweep_rates(s))
-
-
-def _check_dcf_params(p_target: float, c_miss: float, c_fa: float) -> None:
-    if not 0.0 < p_target < 1.0:
-        raise ScoringError(f"p_target must be in (0, 1), got {p_target}")
-    if c_miss <= 0 or c_fa <= 0:
-        raise ScoringError("costs must be positive")
-
-
-def _min_dcf(
-    thresholds: np.ndarray,
-    far: np.ndarray,
-    frr: np.ndarray,
-    p_target: float,
-    c_miss: float,
-    c_fa: float,
-) -> tuple[float, float]:
-    cost = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
-    k = int(np.argmin(cost))  # the first minimum: ties keep the lowest threshold
-    normalizer = min(c_miss * p_target, c_fa * (1.0 - p_target))
-    return float(cost[k] / normalizer), float(thresholds[k])
+    """compute_det_metrics' equal-error rate and its threshold."""
+    m = compute_det_metrics(s)
+    return m.eer, m.eer_threshold
 
 
 def compute_min_dcf(
@@ -185,26 +174,9 @@ def compute_min_dcf(
     c_miss: float = 1.0,
     c_fa: float = 1.0,
 ) -> tuple[float, float]:
-    """Minimum normalized detection cost over the sweep thresholds.
-
-    DCF(t) = c_miss*p_target*FRR(t) + c_fa*(1-p_target)*FAR(t), divided by
-    the best uninformed-decision cost; ties keep the lowest threshold.
-    """
-    _check_dcf_params(p_target, c_miss, c_fa)
-    return _min_dcf(*sweep_rates(s), p_target, c_miss, c_fa)
-
-
-def compute_det_metrics(
-    s: ScoreSet,
-    p_target: float = DEFAULT_P_TARGET,
-    c_miss: float = 1.0,
-    c_fa: float = 1.0,
-) -> DetMetrics:
-    sweep = sweep_rates(s)
-    eer, eer_t = _eer(*sweep)
-    _check_dcf_params(p_target, c_miss, c_fa)
-    dcf, dcf_t = _min_dcf(*sweep, p_target, c_miss, c_fa)
-    return DetMetrics(eer, eer_t, dcf, dcf_t, sweep)
+    """compute_det_metrics' minimum normalized detection cost and its threshold."""
+    m = compute_det_metrics(s, p_target, c_miss, c_fa)
+    return m.min_dcf, m.dcf_threshold
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -59,6 +59,58 @@ def test_bad_magic_is_malformed_header():
         read_wav(b"RIFX" + b"\x00" * 40)
 
 
+def _chunk(chunk_id, body, size=None):
+    return chunk_id + struct.pack("<I", len(body) if size is None else size) + body
+
+
+def _fmt(channels=1, rate=16000):
+    return _chunk(b"fmt ", struct.pack("<HHIIHH", 1, channels, rate, rate * 2 * channels,
+                                       2 * channels, 16))
+
+
+def _riff(*chunks, form=b"WAVE"):
+    body = form + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize(
+    "data, error, fragment",
+    [
+        (b"RIFF\x04\x00\x00\x00WAV", MalformedHeaderError, "too short for a RIFF header"),
+        (_riff(form=b"AVI "), MalformedHeaderError, "bad RIFF form type"),
+        (_riff(_chunk(b"fmt ", bytes(14))), MalformedHeaderError, "fmt chunk shorter than 16"),
+        (_riff(_chunk(b"fmt ", b"", size=16)), MalformedHeaderError, "fmt chunk shorter than 16"),
+        (_riff(_chunk(b"data", bytes(2)), _fmt()), MalformedHeaderError,
+         "data chunk before fmt chunk"),
+        (_riff(_fmt(channels=0), _chunk(b"data", b"")), MalformedHeaderError,
+         "invalid channel count 0"),
+        (_riff(_fmt(rate=0), _chunk(b"data", b"")), MalformedHeaderError,
+         "invalid sample rate 0"),
+        (_riff(_fmt(), _chunk(b"data", bytes(2), size=4)), TruncatedDataError,
+         "declares 4 bytes but only 2 remain"),
+        (_riff(_fmt(channels=2), _chunk(b"data", bytes(6))), TruncatedDataError,
+         "not a whole number of 2-channel frames"),
+        (_riff(_fmt()), MalformedHeaderError, "no data chunk found"),
+    ],
+)
+def test_malformed_files_are_refused_by_class_and_reason(data, error, fragment):
+    with pytest.raises(error, match=fragment):
+        read_wav(data)
+
+
+@pytest.mark.parametrize(
+    "samples, rate, fragment",
+    [
+        (np.zeros((1, 2, 3), dtype=np.int16), 16000, "1-D or 2-D"),
+        (np.zeros(4, dtype=np.float32), 16000, "must be int16"),
+        (np.zeros(4, dtype=np.int16), 0, "sample_rate must be positive"),
+    ],
+)
+def test_waveform_constructor_refusals(samples, rate, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Waveform(samples, rate)
+
+
 def test_nonpcm_codec_rejected_distinctly():
     data = _hand_encoded_wav([1, 2], fmt=3)
     with pytest.raises(UnsupportedFormatError, match="codec"):

@@ -43,6 +43,14 @@ def test_snr_list_argument_parsing():
     assert args.snr_list == (0.0, 5.0, 10.0)
 
 
+def test_snr_list_starting_with_a_negative_snr_parses_when_joined_with_equals():
+    args = build_parser().parse_args(
+        ["synth", "--libdir", "x", "--transcript", "ni", "--seed", "1",
+         "--out", "y", "--snr-list=-5,0"]
+    )
+    assert args.snr_list == (-5.0, 0.0)
+
+
 # each subcommand with its required arguments -> {flag's dest: the config field it mirrors}
 CONFIG_FLAGS = {
     ("segment", "--manifest", "m", "--ali", "a", "--units", "ni", "--out", "o"): {
@@ -163,6 +171,18 @@ def test_eval_worked_example(tmp_path, capsys):
     assert run_cli("plot-roc", "--roc", str(roc), "--out", str(svg), "--title", "toy") == 0
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
+
+
+@pytest.mark.parametrize("flag, value", [("--c-miss", "nan"), ("--c-fa", "inf")])
+def test_eval_refuses_a_non_finite_cost_and_prints_no_metrics(tmp_path, capsys, flag, value):
+    scores = tmp_path / "scores.txt"
+    scores.write_text("e1 t1 0.9 target\ne2 t2 0.1 nontarget\n")
+    roc = tmp_path / "roc.tsv"
+    assert run_cli("eval", "--scores", str(scores), "--roc", str(roc), flag, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "costs must be finite and positive" in captured.err
+    assert not roc.exists()
 
 
 @pytest.fixture(scope="module")

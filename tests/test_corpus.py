@@ -58,6 +58,15 @@ def test_alignment_negative_start_rejected():
         parse_alignment("a 1 -0.1 0.5 ni\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["a 1 nan 0.5 ni", "a 1 inf 0.5 ni", "a 1 0 nan ni", "a 1 0 inf ni", "a 1 nan 0.5 sil"],
+)
+def test_alignment_non_finite_time_rejected_naming_the_line(line):
+    with pytest.raises(AlignmentError, match="line 2: non-finite time field"):
+        parse_alignment(f"a 1 0 0.1 sil\n{line}\n")
+
+
 def test_alignment_zero_duration_rejected():
     with pytest.raises(AlignmentError, match="duration"):
         parse_alignment("a 1 0.1 0 ni\n")

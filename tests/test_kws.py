@@ -298,3 +298,15 @@ def test_load_posteriors_rejects_duplicate_records(tmp_path):
     save_labels(tmp_path / "labels.txt", LABELS)
     with pytest.raises(KwsError, match="records"):
         load_posteriors(base, tmp_path / "labels.txt")
+
+
+def test_load_posteriors_refuses_a_nan_naming_the_archive_and_utterance(tmp_path):
+    probs = np.full((3, 5), 0.2, dtype=np.float32)
+    broken = probs.copy()
+    broken[1, 2] = np.nan
+    base = tmp_path / "post"
+    write_archive(base, [("utt1", probs), ("utt2", broken)])
+    save_labels(tmp_path / "labels.txt", LABELS)
+    with pytest.raises(KwsError) as exc:
+        load_posteriors(base, tmp_path / "labels.txt")
+    assert str(exc.value) == f"{base}: utterance 'utt2': posterior values must lie in [0, 1]"

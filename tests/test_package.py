@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,18 @@ def test_config_and_corpus_load_without_numpy():
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
         ).stdout
         assert out == "False\n", module
+
+
+def test_modules_import_only_the_standard_library_numpy_and_unitcat():
+    # numpy is the one runtime dependency
+    allowed = sys.stdlib_module_names | {"numpy", "unitcat"}
+    for path in sorted((SRC / "unitcat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"

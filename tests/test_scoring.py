@@ -245,6 +245,15 @@ def test_min_dcf_parameter_gates():
         compute_min_dcf(WORKED, c_miss=0.0)
 
 
+@pytest.mark.parametrize("cost", ["c_miss", "c_fa"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_costs_must_be_finite(cost, value):
+    with pytest.raises(ScoringError, match="costs must be finite and positive"):
+        compute_det_metrics(WORKED, **{cost: value})
+    with pytest.raises(ScoringError, match="costs"):
+        compute_min_dcf(WORKED, **{cost: value})
+
+
 def test_det_metrics_bundle():
     m = compute_det_metrics(WORKED, p_target=0.01)
     assert m.eer == pytest.approx(0.25)

@@ -660,6 +660,20 @@ def test_params_file_error_gates(tmp_path):
         load_params(headerless)
 
 
+@pytest.mark.parametrize(
+    "header, fragment",
+    [
+        (b"TDNNPARAMS 2 2 40 0\n\n", "unsupported version 2"),
+        (b"TDNNPARAMS 1 2 40 2\nw 1 1\n\n", "header declares 2 tensors, lists 1"),
+    ],
+)
+def test_params_header_refusals(tmp_path, header, fragment):
+    path = tmp_path / "params.bin"
+    path.write_bytes(header)
+    with pytest.raises(ValueError, match=fragment):
+        load_params(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="num_classes"):
         TdnnConfig(num_classes=0)

@@ -7,14 +7,16 @@ appear on several lines (e.g. one embedding per recording channel).
 
 read_index parses the index into Record views grouped per id in file
 order; a view knows its shape and reads its payload only when converted
-to an array. read_archive reads every view from one open data file, so
-it holds each record once and never a second copy of the data file.
+to an array, through the open data file it was given, if any. read_archive
+reads every view from one open data file, so it holds each record once
+and never a second copy of the data file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -63,11 +65,13 @@ def write_archive(base: str | Path, items) -> None:
 class Record:
     """One archived (rows, cols) matrix. np.asarray(record) reads its
     payload from the data file straight into a new float32 array, on
-    every conversion; np.shape(record) reads nothing."""
+    every conversion: through data while that is open, else through a file
+    it opens itself. np.shape(record) reads nothing."""
 
     path: Path
     offset: int
     shape: tuple[int, int]
+    data: BinaryIO | None = field(default=None, compare=False, repr=False)
 
     def read(self, data) -> np.ndarray:
         """The payload, from the open data file, in a new float32 array."""
@@ -78,8 +82,11 @@ class Record:
         return arr
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        with open(self.path, "rb") as data:
-            arr = self.read(data)
+        if self.data is not None and not self.data.closed:
+            arr = self.read(self.data)
+        else:
+            with open(self.path, "rb") as data:
+                arr = self.read(data)
         return arr if dtype is None else arr.astype(dtype, copy=False)
 
 
@@ -89,9 +96,10 @@ def _nonnegative_int(where: str, name: str, text: str) -> int:
     return int(text)
 
 
-def read_index(base: str | Path) -> dict[str, list[Record]]:
+def read_index(base: str | Path, data: BinaryIO | None = None) -> dict[str, list[Record]]:
     """Every record as a Record view, grouped by id, file order preserved
-    within a group. A line without 4 fields, a field that is not a
+    within a group; the views read through data, the open data file, when
+    it is given. A line without 4 fields, a field that is not a
     non-negative integer or a record that runs past the data file is
     refused, naming the index file and line."""
     base = Path(base)
@@ -115,7 +123,7 @@ def read_index(base: str | Path) -> dict[str, list[Record]]:
         )
         if offset + rows * cols * 4 > data_size:
             raise ArchiveError(f"{where}: record for {utt_id!r} runs past the data file")
-        records.setdefault(utt_id, []).append(Record(data_path, offset, (rows, cols)))
+        records.setdefault(utt_id, []).append(Record(data_path, offset, (rows, cols), data))
     return records
 
 

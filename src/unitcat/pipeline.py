@@ -344,36 +344,38 @@ def train_model(
 
 def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -> list[str]:
     """One embedding per feature record, in archive order, from one batched
-    forward pass; the embedding archive is written only once they all exist.
+    float32 forward pass; the embedding archive is written only once they
+    all exist.
 
-    The records stay archive.Record views: the shape check reads only the
-    index, the non-finite check reads one record at a time through one
-    open data file, and forward reads each record again when its chunk is
-    stacked, so the features are never all in memory at once."""
-    params = load_params(_require(params_path, "trained parameters"))
+    The weights are loaded as float32. The records stay archive.Record
+    views over one open data file: the shape check reads only the index,
+    the non-finite check reads one record at a time, and forward reads
+    each record again when its chunk is stacked, so the features are never
+    all in memory at once."""
+    params = load_params(_require(params_path, "trained parameters"), np.float32)
     _require(features_base.with_suffix(".tsv"), "feature archive")
-    records = [(utt_id, r) for utt_id, recs in read_index(features_base).items() for r in recs]
-    feat_dim = params.config.feat_dim
-    unfit = [
-        f"{utt_id} ({record.shape[0]}x{record.shape[1]})"
-        for utt_id, record in records
-        if record.shape[0] < MIN_FRAMES or record.shape[1] != feat_dim
-    ]
-    if unfit:
-        raise ValueError(
-            f"extraction needs at least {MIN_FRAMES} frames of {feat_dim} features per "
-            f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
-        )
     with open(features_base.with_suffix(".bin"), "rb") as data:
-        nonfinite = [
-            utt_id for utt_id, record in records if not np.isfinite(record.read(data)).all()
+        records = [
+            (utt_id, r) for utt_id, recs in read_index(features_base, data).items() for r in recs
         ]
-    if nonfinite:
-        raise ValueError(
-            f"{len(nonfinite)} feature records hold non-finite values: "
-            f"{', '.join(nonfinite[:5])}"
-        )
-    embeddings, _ = forward(params, [record for _, record in records])
+        feat_dim = params.config.feat_dim
+        unfit = [
+            f"{utt_id} ({record.shape[0]}x{record.shape[1]})"
+            for utt_id, record in records
+            if record.shape[0] < MIN_FRAMES or record.shape[1] != feat_dim
+        ]
+        if unfit:
+            raise ValueError(
+                f"extraction needs at least {MIN_FRAMES} frames of {feat_dim} features per "
+                f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
+            )
+        nonfinite = [utt_id for utt_id, record in records if not np.isfinite(record).all()]
+        if nonfinite:
+            raise ValueError(
+                f"{len(nonfinite)} feature records hold non-finite values: "
+                f"{', '.join(nonfinite[:5])}"
+            )
+        embeddings, _ = forward(params, [record for _, record in records])
     with ArchiveWriter(out_base) as writer:
         for (utt_id, _), embedding in zip(records, embeddings):
             writer.add(utt_id, embedding)

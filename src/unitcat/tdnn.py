@@ -4,9 +4,11 @@ Five time-delay layers splice context windows over a 40-dim feature
 stream, a pooling layer concatenates per-dimension mean and standard
 deviation over all valid frames, an affine layer produces the 256-dim
 embedding (pre-activation), and a bias-free projection yields per-class
-cosines trained with an additive-angular-margin softmax. Everything is
-float64 numpy with hand-derived analytic gradients, so the whole network
-is finite-difference checkable.
+cosines trained with an additive-angular-margin softmax. Training is
+float64 numpy only, with hand-derived analytic gradients, so the whole
+network is finite-difference checkable; ``forward`` computes in its
+weights' dtype, so float32 weights (as ``extract`` loads them) give a
+float32 pass.
 
 Every pass is stacked: ``loss_and_grads`` and ``forward`` concatenate up
 to CHUNK_FRAMES frames of their utterances into one stream and run each
@@ -81,6 +83,21 @@ class TdnnParams:
     config: TdnnConfig
     tensors: dict[str, np.ndarray]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The floating dtype that every tensor shares."""
+        dtypes = {t.dtype for t in self.tensors.values()}
+        if len(dtypes) != 1 or not np.issubdtype(next(iter(dtypes)), np.floating):
+            raise ValueError(
+                f"tensors must share one floating dtype, got {sorted(map(str, dtypes))}"
+            )
+        return dtypes.pop()
+
+
+def _float64_only(params: TdnnParams, what: str) -> None:
+    if params.dtype != np.float64:
+        raise ValueError(f"{what} runs on float64 params only, got {params.dtype}")
+
 
 def layer_dims(feat_dim: int = FEAT_DIM) -> list[tuple[str, int, int]]:
     """(name, spliced input dim, output dim) per frame layer."""
@@ -92,18 +109,28 @@ def layer_dims(feat_dim: int = FEAT_DIM) -> list[tuple[str, int, int]]:
     return dims
 
 
+def _tensor_shapes(cfg: TdnnConfig) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape, in init_tdnn's order; biases are 1-D."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, in_dim, out_dim in layer_dims(cfg.feat_dim):
+        shapes[f"{name}.W"] = (out_dim, in_dim)
+        shapes[f"{name}.b"] = (out_dim,)
+    shapes["segment6.W"] = (EMBED_DIM, STATS_DIM)
+    shapes["segment6.b"] = (EMBED_DIM,)
+    shapes["projection.W"] = (EMBED_DIM, cfg.num_classes)
+    return shapes
+
+
 def init_tdnn(cfg: TdnnConfig, seed: int) -> TdnnParams:
     """Gaussian weights with standard deviation 1/sqrt(fan_in), zero biases."""
     rng = np.random.Generator(np.random.PCG64(seed))
     tensors: dict[str, np.ndarray] = {}
-    for name, in_dim, out_dim in layer_dims(cfg.feat_dim):
-        tensors[f"{name}.W"] = rng.standard_normal((out_dim, in_dim)) / math.sqrt(in_dim)
-        tensors[f"{name}.b"] = np.zeros(out_dim)
-    tensors["segment6.W"] = rng.standard_normal((EMBED_DIM, STATS_DIM)) / math.sqrt(STATS_DIM)
-    tensors["segment6.b"] = np.zeros(EMBED_DIM)
-    tensors["projection.W"] = rng.standard_normal((EMBED_DIM, cfg.num_classes)) / math.sqrt(
-        EMBED_DIM
-    )
+    for name, shape in _tensor_shapes(cfg).items():
+        # a layer's W maps its columns' inputs; the projection's rows are the embedding
+        fan_in = EMBED_DIM if name == "projection.W" else shape[-1]
+        tensors[name] = (
+            np.zeros(shape) if len(shape) == 1 else rng.standard_normal(shape) / math.sqrt(fan_in)
+        )
     return TdnnParams(cfg, tensors)
 
 
@@ -200,8 +227,8 @@ def _pool(
     """stats_pool of each span of h's rows, (n, 2 * dim), and each span's
     unfloored variance, (n, dim); centered gets h minus its span's mean."""
     dim = h.shape[1]
-    pooled = np.empty((len(spans), 2 * dim))
-    var = np.empty((len(spans), dim))
+    pooled = np.empty((len(spans), 2 * dim), h.dtype)
+    var = np.empty((len(spans), dim), h.dtype)
     for i, rows in enumerate(spans):
         pooled[i, :dim] = h[rows].mean(axis=0)
         c = np.subtract(h[rows], pooled[i, :dim], out=centered[rows])
@@ -213,7 +240,9 @@ def _pool(
 def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.ndarray]:
     """Forward pass over one utterance keeping each frame layer's spliced
     input and output, the pooled statistics, the embedding and the
-    cosines."""
+    cosines. float64 params only, like loss_and_grads, whose gradient
+    checks it serves."""
+    _float64_only(params, "forward_activations")
     _check_feats(params, feats)
     feats = np.asarray(feats, dtype=np.float64)
     acts: dict[str, np.ndarray] = {}
@@ -230,6 +259,9 @@ def forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(embedding, per-class cosine logits) of one (T, feat_dim) matrix;
     for a list of them, (embeddings (n, EMBED_DIM), cosines (n, classes)).
+    The pass computes in the dtype of params' tensors: every buffer and
+    both results take it, and the features are cast to it as they are
+    stacked, so float32 params give a float32 pass.
 
     Every utterance's shape is checked with np.shape before any
     arithmetic. The utterances are then stacked in chunks of at most
@@ -247,12 +279,12 @@ def forward(
     utts = feats if batched else [feats]
     lengths = [_check_feats(params, f) for f in utts]
     chunks = _chunks(lengths)
-    work = Workspace()
+    work = Workspace(params.dtype)
     frames = max((sum(lengths[i] for i in chunk) for chunk in chunks), default=0)
     widest = max(max(i, o) for _, i, o in layer_dims(params.config.feat_dim))
     stream_buf = work((frames * params.config.feat_dim,))
     bufs = (work((frames * widest,)), work((frames * widest,)))
-    embeddings = np.empty((len(utts), EMBED_DIM))
+    embeddings = np.empty((len(utts), EMBED_DIM), work.dtype)
     for chunk in chunks:
         chunk_lengths = lengths[chunk.start : chunk.stop]
         stream = np.concatenate(
@@ -378,7 +410,9 @@ def loss_and_grads(
     work, so the chunks reuse the same pages. A training loop owns one
     Workspace for all its steps and passes it to every call; without one,
     the call allocates its own. The returned gradients never alias work.
+    Training runs on float64 params only; other params are refused.
     """
+    _float64_only(params, "loss_and_grads")
     lengths = [_check_feats(params, feats) for feats, _ in batch]
     utts = [(np.asarray(feats), label) for feats, label in batch]
     if not utts:
@@ -551,30 +585,70 @@ def save_params(path: str | Path, params: TdnnParams) -> None:
             fh.write(arr)
 
 
-def load_params(path: str | Path) -> TdnnParams:
-    """Each tensor is read from the file straight into its own array."""
+def load_params(path: str | Path, dtype: np.dtype | type = np.float64) -> TdnnParams:
+    """Each tensor is read from the file into its own float64 array and
+    converted to dtype as it is read (extract loads float32 weights).
+
+    A malformed header line is refused naming the file and the line, and
+    so is a tensor whose name or shape differs from what init_tdnn builds
+    for the header's class count and feature dim."""
     with open(path, "rb") as fh:
         lines = []
         while (line := fh.readline()) != b"\n":
             if not line:
                 raise ValueError(f"{path}: missing parameter header")
             lines.append(line.decode("utf-8").rstrip("\n"))
-        magic = lines[0].split() if lines else []
-        if len(magic) != 5 or magic[0] != PARAMS_MAGIC:
-            raise ValueError(f"{path}: not a parameter file")
-        if int(magic[1]) != PARAMS_VERSION:
-            raise ValueError(f"{path}: unsupported version {magic[1]}")
-        num_classes, feat_dim, count = int(magic[2]), int(magic[3]), int(magic[4])
-        if len(lines) - 1 != count:
-            raise ValueError(f"{path}: header declares {count} tensors, lists {len(lines) - 1}")
+        cfg, shapes = _parse_header(path, lines)
         tensors: dict[str, np.ndarray] = {}
-        for line in lines[1:]:
-            name, rows_s, cols_s = line.split()
-            arr = np.empty((int(rows_s), int(cols_s)), dtype="<f8")
+        for name, shape in shapes.items():
+            arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise ValueError(f"{path}: truncated payload for tensor {name}")
-            tensors[name] = arr
-    for name in list(tensors):
-        if name.endswith(".b"):
-            tensors[name] = tensors[name].reshape(-1)
-    return TdnnParams(TdnnConfig(num_classes, feat_dim), tensors)
+            tensors[name] = arr.astype(dtype, copy=False)
+    return TdnnParams(cfg, tensors)
+
+
+def _parse_header(
+    path: str | Path, lines: list[str]
+) -> tuple[TdnnConfig, dict[str, tuple[int, ...]]]:
+    """The config and each tensor's shape, in file order, from the header
+    lines; biases get their 1-D shape."""
+
+    def refuse(lineno: int, why: str):
+        return ValueError(f"{path}: header line {lineno} {lines[lineno - 1]!r}: {why}")
+
+    magic = lines[0].split() if lines else []
+    if len(magic) != 5 or magic[0] != PARAMS_MAGIC:
+        raise ValueError(f"{path}: not a parameter file")
+    if not all(f.isascii() and f.isdigit() for f in magic[1:]):
+        raise refuse(1, "version, classes, feature dim and tensor count must be integers >= 0")
+    version, num_classes, feat_dim, count = map(int, magic[1:])
+    if version != PARAMS_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    if num_classes < 1 or feat_dim < 1:
+        raise refuse(1, "classes and feature dim must be >= 1")
+    if len(lines) - 1 != count:
+        raise ValueError(f"{path}: header declares {count} tensors, lists {len(lines) - 1}")
+    cfg = TdnnConfig(num_classes, feat_dim)
+    want = _tensor_shapes(cfg)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split()
+        if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields[1:]):
+            raise refuse(lineno, "expected 'name rows cols', rows and cols integers >= 0")
+        name, rows, cols = fields[0], int(fields[1]), int(fields[2])
+        if name not in want or name in shapes:
+            raise refuse(lineno, f"unexpected or repeated tensor {name}")
+        # save_params writes a bias as one row
+        need = want[name] if len(want[name]) == 2 else (1, *want[name])
+        if (rows, cols) != need:
+            raise refuse(
+                lineno,
+                f"tensor {name} must be {need[0]} {need[1]} for {num_classes} classes "
+                f"and {feat_dim}-dim features",
+            )
+        shapes[name] = want[name]
+    missing = [name for name in want if name not in shapes]
+    if missing:
+        raise ValueError(f"{path}: header lists no tensor {', '.join(missing)}")
+    return cfg, shapes

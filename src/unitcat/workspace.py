@@ -16,12 +16,14 @@ import numpy as np
 
 
 class Workspace:
-    """float64 arrays handed out again on every pass: after ``rewind``, the
-    k-th request gets the k-th buffer, grown when too small. A request
-    returns uninitialized memory that aliases the buffer, so whatever a
-    caller hands back to its own caller must be copied out of it first."""
+    """Arrays of one dtype (float64 unless given) handed out again on every
+    pass: after ``rewind``, the k-th request gets the k-th buffer, grown
+    when too small. A request returns uninitialized memory that aliases the
+    buffer, so whatever a caller hands back to its own caller must be
+    copied out of it first."""
 
-    def __init__(self) -> None:
+    def __init__(self, dtype: np.dtype | type = np.float64) -> None:
+        self.dtype = np.dtype(dtype)
         self._bufs: list[np.ndarray] = []
         self._next = 0
 
@@ -36,9 +38,9 @@ class Workspace:
     def __call__(self, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         if self._next == len(self._bufs):
-            self._bufs.append(np.empty(size))
+            self._bufs.append(np.empty(size, self.dtype))
         elif self._bufs[self._next].size < size:
-            self._bufs[self._next] = np.empty(size)
+            self._bufs[self._next] = np.empty(size, self.dtype)
         buf = self._bufs[self._next]
         self._next += 1
         return buf[:size].reshape(shape)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from unitcat.archive import read_archive, write_archive
 from unitcat.config import ConfigError, validate_config
 from unitcat.corpus import UtteranceRecord, load_manifest, save_manifest
 from unitcat.features import SpecAugmentParams
+from unitcat.scoring import parse_scores
 from unitcat.pipeline import (
     STAGES,
     PipelineError,
@@ -449,8 +451,46 @@ def test_extract_checks_values_through_one_open_data_file(tmp_path, monkeypatch)
 
     monkeypatch.setattr(builtins, "open", counting_open)
     extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
-    # one open for the non-finite check, then one per record as forward stacks it
-    assert len(opens) == 1 + len(feats)
+    # one open serves the non-finite check and forward's stacking alike
+    assert len(opens) == 1
+
+
+def test_extract_runs_forward_on_float32_weights(tmp_path, monkeypatch):
+    feats = np.random.default_rng(9).standard_normal((30, 40)).astype(np.float32)
+    write_archive(tmp_path / "feats", [("a", feats)])
+    save_params(tmp_path / "params.bin", init_tdnn(TdnnConfig(num_classes=2), 5))
+    dtypes = []
+    real_forward = pipeline.forward
+
+    def forward(params, batch):
+        dtypes.extend(t.dtype for t in params.tensors.values())
+        return real_forward(params, batch)
+
+    monkeypatch.setattr(pipeline, "forward", forward)
+    extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
+    assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+
+def test_float32_extract_scores_a_trained_toy_as_float64_does(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    make_toy_corpus(corpus, default_speaker_specs(3, uncovered_speakers=("spk2",)))
+    cfg = dataclasses.replace(_config(corpus, tmp_path / "out"), train_steps=30)
+    run_pipeline(cfg, STAGES)
+    out = tmp_path / "out"
+
+    def scores_and_metrics():
+        with open(out / "scores" / "scores.txt", encoding="utf-8") as lines:
+            scores = parse_scores(lines).scores
+        return scores, (out / "eval" / "metrics.txt").read_bytes()
+
+    narrow = scores_and_metrics()
+    real_load = pipeline.load_params
+    monkeypatch.setattr(pipeline, "load_params", lambda path, dtype: real_load(path))
+    run_pipeline(cfg, ("extract", "score", "eval"))
+    wide = scores_and_metrics()
+    assert len(narrow[0]) == len(wide[0]) > 0
+    assert np.max(np.abs(narrow[0] - wide[0])) <= 1e-6
+    assert narrow[1] == wide[1]
 
 
 def test_extract_writes_no_archive_when_the_forward_pass_fails(tmp_path, monkeypatch):

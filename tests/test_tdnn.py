@@ -430,8 +430,8 @@ def test_batched_forward_workspace_holds_the_stream_and_two_layer_buffers(monkey
     feats = [_feats(t, seed=600 + t) for t in lengths]
     works = []
 
-    def recording_workspace():
-        works.append(Workspace())
+    def recording_workspace(*args, **kwargs):
+        works.append(Workspace(*args, **kwargs))
         return works[-1]
 
     monkeypatch.setattr(tdnn, "Workspace", recording_workspace)
@@ -445,6 +445,46 @@ def test_batched_forward_workspace_holds_the_stream_and_two_layer_buffers(monkey
     assert max(sizes[1:]) <= frames * widest
     for out in (embeddings, cosines):
         assert not any(np.shares_memory(out, b) for b in work.buffers)
+
+
+def test_float32_forward_computes_in_float32(monkeypatch):
+    params = init_tdnn(TdnnConfig(num_classes=3), seed=65)
+    params32 = tdnn.TdnnParams(
+        params.config, {name: t.astype(np.float32) for name, t in params.tensors.items()}
+    )
+    lengths = [80, 95, CHUNK_FRAMES + 10, 40]
+    feats = [_feats(t, seed=800 + t).astype(np.float32) for t in lengths]
+    works, pooled = [], []
+    real_pool = tdnn._pool
+
+    def recording_workspace(*args, **kwargs):
+        works.append(Workspace(*args, **kwargs))
+        return works[-1]
+
+    def recording_pool(*args):
+        pooled.extend(real_pool(*args))
+        return pooled[-2:]
+
+    monkeypatch.setattr(tdnn, "Workspace", recording_workspace)
+    monkeypatch.setattr(tdnn, "_pool", recording_pool)
+    embeddings, cosines = forward(params32, feats)
+    assert embeddings.dtype == cosines.dtype == np.float32
+    (work,) = works
+    assert len(work.buffers) == 3
+    assert all(buf.dtype == np.float32 for buf in work.buffers)
+    assert pooled and all(arr.dtype == np.float32 for arr in pooled)
+    # float64 feature matrices are cast as they are stacked
+    one, _ = forward(params32, feats[0].astype(np.float64))
+    assert one.dtype == np.float32
+    want, _ = forward(params, feats)
+    assert np.max(np.abs(embeddings - want)) <= 1e-5 * np.max(np.abs(want))
+
+
+def test_forward_refuses_params_of_mixed_dtypes():
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=66)
+    params.tensors["frame1.W"] = params.tensors["frame1.W"].astype(np.float32)
+    with pytest.raises(ValueError, match="one floating dtype"):
+        forward(params, _feats(20))
 
 
 # --- training ----------------------------------------------------------------
@@ -672,6 +712,80 @@ def test_params_header_refusals(tmp_path, header, fragment):
     path.write_bytes(header)
     with pytest.raises(ValueError, match=fragment):
         load_params(path)
+
+
+def test_training_refuses_float32_params():
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=53)
+    params32 = tdnn.TdnnParams(
+        params.config, {name: t.astype(np.float32) for name, t in params.tensors.items()}
+    )
+    batch = _toy_batch()
+    with pytest.raises(ValueError, match="float64"):
+        loss_and_grads(params32, batch, AamParams())
+    with pytest.raises(ValueError, match="float64"):
+        train_step(params32, batch, lr=0.1, aam=AamParams())
+    with pytest.raises(ValueError, match="float64"):
+        forward_activations(params32, _feats(20))
+
+
+def test_load_params_converts_each_tensor_to_the_asked_dtype(tmp_path):
+    params = init_tdnn(TdnnConfig(num_classes=4), seed=54)
+    path = tmp_path / "params.bin"
+    save_params(path, params)
+    wide, narrow = load_params(path), load_params(path, np.float32)
+    assert set(narrow.tensors) == set(wide.tensors) == set(params.tensors)
+    for name, t in params.tensors.items():
+        assert wide.tensors[name].dtype == np.float64
+        assert np.array_equal(wide.tensors[name], t)
+        assert narrow.tensors[name].dtype == np.float32
+        assert np.array_equal(narrow.tensors[name], t.astype(np.float32))
+
+
+def _edited_params_file(path, edit):
+    """A saved 2-class parameter file whose header lines went through edit."""
+    save_params(path, init_tdnn(TdnnConfig(num_classes=2), seed=55))
+    header, payload = path.read_bytes().split(b"\n\n", 1)
+    lines = edit(header.decode().split("\n"))
+    path.write_bytes(("\n".join(lines) + "\n\n").encode() + payload)
+
+
+def _replace(old, new):
+    return lambda lines: [new if line == old else line for line in lines]
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (_replace("TDNNPARAMS 1 2 40 13", "TDNNPARAMS x 2 40 13"), "header line 1"),
+        (_replace("TDNNPARAMS 1 2 40 13", "TDNNPARAMS 1 0 40 13"), "header line 1"),
+        (_replace("frame1.W 256 200", "frame1.W 256"), "header line 2"),
+        (_replace("frame1.W 256 200", "frame1.W -256 200"), "header line 2"),
+        (lambda lines: ["TDNNPARAMS 1 2 40 0"], "lists no tensor frame1.W"),
+        (_replace("frame1.W 256 200", "frame1.W 256 199"), "tensor frame1.W must be 256 200"),
+        (_replace("frame1.b 1 256", "frame1.b 256 1"), "tensor frame1.b must be 1 256"),
+        (_replace("TDNNPARAMS 1 2 40 13", "TDNNPARAMS 1 2 39 13"), "frame1.W must be 256 195"),
+        (_replace("frame1.W 256 200", "frame0.W 256 200"), "tensor frame0.W"),
+        (_replace("frame2.b 1 256", "frame1.b 1 256"), "repeated tensor frame1.b"),
+    ],
+    ids=[
+        "non-integer-version",
+        "zero-classes",
+        "two-field-tensor-line",
+        "negative-rows",
+        "no-tensors",
+        "wrong-shape",
+        "bias-as-column",
+        "feat-dim-differs-from-shapes",
+        "unknown-name",
+        "repeated-name",
+    ],
+)
+def test_load_params_refuses_a_malformed_header_naming_file_and_line(tmp_path, edit, fragment):
+    path = tmp_path / "params.bin"
+    _edited_params_file(path, edit)
+    with pytest.raises(ValueError, match=fragment) as refused:
+        load_params(path)
+    assert str(path) in str(refused.value)
 
 
 def test_config_validation():

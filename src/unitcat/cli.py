@@ -11,7 +11,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import PipelineConfig, parse_snr_list, parse_units, validate_config
+from .config import (PipelineConfig, parse_positive_int, parse_snr_list, parse_units,
+                     validate_config)
 from .features import SpecAugmentParams
 from .kws import (DEFAULT_SEARCH_WINDOW, DEFAULT_SMOOTH_WINDOW, KeywordSpec, frr_at_far, kws_roc,
                   load_labels, load_posteriors, utterance_confidence)
@@ -65,7 +66,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("make-toy", parents=[], help="generate a synthetic fixture corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--speakers", type=int, default=5)
+    p.add_argument("--speakers", type=_arg(parse_positive_int), default=5)
     p.add_argument("--units", type=_arg(parse_units), default=DEFAULT_UNITS)
     p.add_argument("--uncovered", default="", help="comma list of speakers missing a unit")
 

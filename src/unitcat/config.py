@@ -51,7 +51,7 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
-_parse_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+parse_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _parse_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _parse_learn_rate = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _parse_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
@@ -96,13 +96,13 @@ class PipelineConfig:
     silence_labels: frozenset[str] = _setting(
         "synthesis", "silence_labels", _parse_label_set, DEFAULT_SILENCE_LABELS
     )
-    cmn_window: int = _setting("features", "cmn_window", _parse_positive_int, 300)
+    cmn_window: int = _setting("features", "cmn_window", parse_positive_int, 300)
     spec_augment: bool = _setting("features", "spec_augment", _parse_bool, False)
     freq_mask_width: int = _setting("features", "freq_mask_width", _parse_nonnegative_int, 8)
     num_freq_masks: int = _setting("features", "num_freq_masks", _parse_nonnegative_int, 1)
     time_mask_width: int = _setting("features", "time_mask_width", _parse_nonnegative_int, 20)
     num_time_masks: int = _setting("features", "num_time_masks", _parse_nonnegative_int, 1)
-    train_steps: int = _setting("train", "steps", _parse_positive_int, 200)
+    train_steps: int = _setting("train", "steps", parse_positive_int, 200)
     learn_rate: float = _setting("train", "learn_rate", _parse_learn_rate, 0.05)
     p_target: float = _setting("metrics", "p_target", _parse_probability, 0.01)
     c_miss: float = _setting("metrics", "c_miss", _parse_positive_float, 1.0)

@@ -3,7 +3,8 @@
 Alignment files are CTM-like text, five whitespace-separated fields per
 line: utterance_id channel start duration unit. Manifests are TSV with
 columns utterance_id, speaker_id, transcript (space-joined units),
-audio_path and an optional channel index.
+audio_path and an optional channel index, a non-negative integer in ASCII
+digits.
 """
 
 from __future__ import annotations
@@ -136,12 +137,12 @@ def parse_manifest(text: str) -> list[UtteranceRecord]:
         utterance_id, speaker_id, transcript, audio_path = fields[:4]
         channel: int | None = None
         if len(fields) == 5 and fields[4] != "":
-            try:
-                channel = int(fields[4])
-            except ValueError:
+            # int() would also take "-1", "1_0" and non-ASCII digits
+            if not (fields[4].isascii() and fields[4].isdigit()):
                 raise ManifestError(
-                    f"line {lineno}: channel index {fields[4]!r} is not an integer"
-                ) from None
+                    f"line {lineno}: channel index {fields[4]!r} is not an integer >= 0"
+                )
+            channel = int(fields[4])
         if utterance_id in seen:
             raise ManifestError(
                 f"line {lineno}: duplicate utterance_id {utterance_id!r} "

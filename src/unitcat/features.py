@@ -1,10 +1,11 @@
 """Front-end features: log mel filterbank, VAD from alignments, sliding
 mean normalization, and time/frequency masking.
 
-Feature matrices are plain float64 arrays of shape (frames, 40) computed
-with a 10 ms shift and 25 ms window; files store them as float32. VAD
-flags come from the same sample grid as the fbank frames, so they pair
-row for row at every sample rate.
+Feature matrices are plain float64 arrays of shape (frames, NUM_FILTERS),
+40 log-mel filters, the one width the TDNN reads, computed with a 10 ms
+shift and 25 ms window; files store them as float32. VAD flags come from
+the same sample grid as the fbank frames, so they pair row for row at
+every sample rate.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ class SpecAugmentParams:
     num_freq_masks: int = 1
     max_time_mask_width: int = 20
     num_time_masks: int = 1
-    mask_value: float | None = None  # None: per-utterance mean of the input
 
     def __post_init__(self) -> None:
         if min(self.max_freq_mask_width, self.num_freq_masks) < 0:
@@ -217,12 +217,12 @@ def draw_masks(
 
 
 def spec_augment(f: np.ndarray, p: SpecAugmentParams, seed: int) -> np.ndarray:
-    """Apply the seed's frequency and time masks; other cells untouched."""
+    """Set the seed's masks to the mean of f; other cells untouched."""
     out = f.copy()
     if f.size == 0:
         return out
     freq_masks, time_masks = draw_masks(f.shape[0], f.shape[1], p, seed)
-    value = p.mask_value if p.mask_value is not None else float(np.mean(f))
+    value = float(np.mean(f))
     for start, width in freq_masks:
         out[:, start : start + width] = value
     for start, width in time_masks:

@@ -30,6 +30,7 @@ from .corpus import (
     load_manifest,
 )
 from .features import (
+    NUM_FILTERS,
     SpecAugmentParams,
     apply_vad_filter,
     compute_fbank,
@@ -99,13 +100,28 @@ def _require(path: Path, hint: str) -> Path:
 def _records_with_audio(
     audio_root: Path, records: list[UtteranceRecord]
 ) -> Iterator[tuple[UtteranceRecord, Waveform]]:
-    """Each record with its audio, in order; consecutive records that name
-    one file (the channels of an augmented utterance) share one read."""
+    """Each record with its mono audio, in order; consecutive records that
+    name one file (the channels of an augmented utterance) share one read.
+    A channel index past the file's channels is refused, and so is a
+    multi-channel file listed without one, naming the utterance and file."""
     path = wav = None
     for rec in records:
         if rec.audio_path != path:
             path, wav = rec.audio_path, load_wav(audio_root / rec.audio_path)
-        yield rec, wav.channel(rec.channel_index) if rec.channel_index is not None else wav
+        if rec.channel_index is None:
+            if wav.channels != 1:
+                raise ValueError(
+                    f"utterance {rec.utterance_id!r}: {audio_root / path} has "
+                    f"{wav.channels} channels and the manifest gives no channel index"
+                )
+            yield rec, wav
+        elif not 0 <= rec.channel_index < wav.channels:
+            raise ValueError(
+                f"utterance {rec.utterance_id!r}: channel index {rec.channel_index} is out "
+                f"of range for the {wav.channels} channel(s) of {audio_root / path}"
+            )
+        else:
+            yield rec, wav.channel(rec.channel_index)
 
 
 def run_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> str:
@@ -358,15 +374,14 @@ def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -
         records = [
             (utt_id, r) for utt_id, recs in read_index(features_base, data).items() for r in recs
         ]
-        feat_dim = params.config.feat_dim
         unfit = [
             f"{utt_id} ({record.shape[0]}x{record.shape[1]})"
             for utt_id, record in records
-            if record.shape[0] < MIN_FRAMES or record.shape[1] != feat_dim
+            if record.shape[0] < MIN_FRAMES or record.shape[1] != NUM_FILTERS
         ]
         if unfit:
             raise ValueError(
-                f"extraction needs at least {MIN_FRAMES} frames of {feat_dim} features per "
+                f"extraction needs at least {MIN_FRAMES} frames of {NUM_FILTERS} features per "
                 f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
             )
         nonfinite = [utt_id for utt_id, record in records if not np.isfinite(record).all()]

@@ -60,7 +60,3 @@ class SplitMix64:
             v = self.next_u64() & mask
             if v < n:
                 return v
-
-    def next_float(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))

@@ -1,24 +1,24 @@
 """TDNN speaker-embedding network with statistics pooling.
 
-Five time-delay layers splice context windows over a 40-dim feature
-stream, a pooling layer concatenates per-dimension mean and standard
-deviation over all valid frames, an affine layer produces the 256-dim
-embedding (pre-activation), and a bias-free projection yields per-class
-cosines trained with an additive-angular-margin softmax. Training is
-float64 numpy only, with hand-derived analytic gradients, so the whole
-network is finite-difference checkable; ``forward`` computes in its
-weights' dtype, so float32 weights (as ``extract`` loads them) give a
-float32 pass.
+Five time-delay layers splice context windows over a stream of the
+front end's NUM_FILTERS (40) log-mel features, a pooling layer
+concatenates per-dimension mean and standard deviation over all valid
+frames, an affine layer produces the 256-dim embedding (pre-activation),
+and a bias-free projection yields per-class cosines trained with an
+additive-angular-margin softmax. Training is float64 numpy only, with
+hand-derived analytic gradients, so the whole network is
+finite-difference checkable; ``forward`` computes in its weights' dtype,
+so float32 weights (as ``extract`` loads them) give a float32 pass.
 
 Every pass is stacked: ``loss_and_grads`` and ``forward`` concatenate up
 to CHUNK_FRAMES frames of their utterances into one stream and run each
 frame layer as one GEMM over it. A spliced layer's rows are each
 utterance's valid rows back to back, so no row's context window straddles
 two utterances, and an utterance of T frames gives T - MIN_FRAMES + 1
-frame5 rows. ``forward`` takes one (T, 40) matrix or a list of them,
-arrays or array-likes such as archive records, and reads each one only
-when its chunk is stacked; its forward-only pass keeps two layer buffers
-besides the stream, not every layer's activations.
+frame5 rows. ``forward`` takes one (T, NUM_FILTERS) matrix or a list of
+them, arrays or array-likes such as archive records, and reads each one
+only when its chunk is stacked; its forward-only pass keeps two layer
+buffers besides the stream, not every layer's activations.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import NUM_FILTERS
 from .rng import derive_seed
 from .workspace import Workspace
 
@@ -41,7 +42,6 @@ FRAME_LAYERS: tuple[tuple[str, tuple[int, ...], int], ...] = (
     ("frame4", (0,), 256),
     ("frame5", (0,), 512),
 )
-FEAT_DIM = 40
 EMBED_DIM = 256
 STATS_DIM = 2 * FRAME_LAYERS[-1][2]
 # total splice context: frames needed to produce one pooled frame
@@ -59,7 +59,6 @@ PARAMS_VERSION = 1
 @dataclass
 class TdnnConfig:
     num_classes: int
-    feat_dim: int = FEAT_DIM
 
     def __post_init__(self) -> None:
         if self.num_classes < 1:
@@ -99,10 +98,10 @@ def _float64_only(params: TdnnParams, what: str) -> None:
         raise ValueError(f"{what} runs on float64 params only, got {params.dtype}")
 
 
-def layer_dims(feat_dim: int = FEAT_DIM) -> list[tuple[str, int, int]]:
+def layer_dims() -> list[tuple[str, int, int]]:
     """(name, spliced input dim, output dim) per frame layer."""
     dims = []
-    prev = feat_dim
+    prev = NUM_FILTERS
     for name, offsets, out_dim in FRAME_LAYERS:
         dims.append((name, len(offsets) * prev, out_dim))
         prev = out_dim
@@ -112,7 +111,7 @@ def layer_dims(feat_dim: int = FEAT_DIM) -> list[tuple[str, int, int]]:
 def _tensor_shapes(cfg: TdnnConfig) -> dict[str, tuple[int, ...]]:
     """Each tensor's shape, in init_tdnn's order; biases are 1-D."""
     shapes: dict[str, tuple[int, ...]] = {}
-    for name, in_dim, out_dim in layer_dims(cfg.feat_dim):
+    for name, in_dim, out_dim in layer_dims():
         shapes[f"{name}.W"] = (out_dim, in_dim)
         shapes[f"{name}.b"] = (out_dim,)
     shapes["segment6.W"] = (EMBED_DIM, STATS_DIM)
@@ -151,22 +150,22 @@ def splice(
     )
 
 
-def stats_pool(h: np.ndarray, floor: float = VARIANCE_FLOOR) -> np.ndarray:
+def stats_pool(h: np.ndarray) -> np.ndarray:
     """Concatenated per-dimension mean and floored standard deviation."""
     if len(h) < 1:
         raise ValueError("stats pooling needs at least one frame")
     mean = h.mean(axis=0)
     var = np.mean((h - mean) ** 2, axis=0)
-    std = np.sqrt(np.maximum(var, floor))
+    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
     return np.concatenate([mean, std])
 
 
-def _check_feats(params: TdnnParams, feats) -> int:
-    """The frame count of a (T, feat_dim) matrix of at least MIN_FRAMES
+def _check_feats(feats) -> int:
+    """The frame count of a (T, NUM_FILTERS) matrix of at least MIN_FRAMES
     frames, from np.shape alone, so feats is not converted to an array."""
     shape = np.shape(feats)
-    if len(shape) != 2 or shape[1] != params.config.feat_dim:
-        raise ValueError(f"expected (T, {params.config.feat_dim}) features, got {shape}")
+    if len(shape) != 2 or shape[1] != NUM_FILTERS:
+        raise ValueError(f"expected (T, {NUM_FILTERS}) features, got {shape}")
     if shape[0] < MIN_FRAMES:
         raise ValueError(f"need at least {MIN_FRAMES} frames, got {shape[0]}")
     return shape[0]
@@ -243,7 +242,7 @@ def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.n
     cosines. float64 params only, like loss_and_grads, whose gradient
     checks it serves."""
     _float64_only(params, "forward_activations")
-    _check_feats(params, feats)
+    _check_feats(feats)
     feats = np.asarray(feats, dtype=np.float64)
     acts: dict[str, np.ndarray] = {}
     pooled = stats_pool(_frame_layers(params, feats, [len(feats)], np.empty, acts))
@@ -257,7 +256,7 @@ def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.n
 def forward(
     params: TdnnParams, feats: np.ndarray | list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(embedding, per-class cosine logits) of one (T, feat_dim) matrix;
+    """(embedding, per-class cosine logits) of one (T, NUM_FILTERS) matrix;
     for a list of them, (embeddings (n, EMBED_DIM), cosines (n, classes)).
     The pass computes in the dtype of params' tensors: every buffer and
     both results take it, and the features are cast to it as they are
@@ -277,19 +276,19 @@ def forward(
     """
     batched = isinstance(feats, (list, tuple))
     utts = feats if batched else [feats]
-    lengths = [_check_feats(params, f) for f in utts]
+    lengths = [_check_feats(f) for f in utts]
     chunks = _chunks(lengths)
     work = Workspace(params.dtype)
     frames = max((sum(lengths[i] for i in chunk) for chunk in chunks), default=0)
-    widest = max(max(i, o) for _, i, o in layer_dims(params.config.feat_dim))
-    stream_buf = work((frames * params.config.feat_dim,))
+    widest = max(max(i, o) for _, i, o in layer_dims())
+    stream_buf = work((frames * NUM_FILTERS,))
     bufs = (work((frames * widest,)), work((frames * widest,)))
     embeddings = np.empty((len(utts), EMBED_DIM), work.dtype)
     for chunk in chunks:
         chunk_lengths = lengths[chunk.start : chunk.stop]
         stream = np.concatenate(
             utts[chunk.start : chunk.stop],
-            out=_head(stream_buf, (sum(chunk_lengths), params.config.feat_dim)),
+            out=_head(stream_buf, (sum(chunk_lengths), NUM_FILTERS)),
         )
         alloc = _taking_turns(bufs)
         h = _frame_layers(params, stream, chunk_lengths, alloc)
@@ -413,7 +412,7 @@ def loss_and_grads(
     Training runs on float64 params only; other params are refused.
     """
     _float64_only(params, "loss_and_grads")
-    lengths = [_check_feats(params, feats) for feats, _ in batch]
+    lengths = [_check_feats(feats) for feats, _ in batch]
     utts = [(np.asarray(feats), label) for feats, label in batch]
     if not utts:
         raise ValueError("empty batch")
@@ -459,7 +458,7 @@ def _add_chunk_grads(
     """Add one chunk's gradients into grads; returns its summed loss."""
     lengths = [len(feats) for feats, _ in utts]
     stream = np.concatenate(
-        [feats for feats, _ in utts], out=alloc((sum(lengths), params.config.feat_dim))
+        [feats for feats, _ in utts], out=alloc((sum(lengths), NUM_FILTERS))
     )
     acts: dict[str, np.ndarray] = {}
     h = _frame_layers(params, stream, lengths, alloc, acts)
@@ -551,7 +550,7 @@ def transfer_init(source: TdnnParams, new_num_classes: int, seed: int) -> TdnnPa
     tensors["projection.W"] = rng.standard_normal((EMBED_DIM, new_num_classes)) / math.sqrt(
         EMBED_DIM
     )
-    return TdnnParams(TdnnConfig(new_num_classes, source.config.feat_dim), tensors)
+    return TdnnParams(TdnnConfig(new_num_classes), tensors)
 
 
 def average_embeddings(embeddings: list[np.ndarray]) -> np.ndarray:
@@ -562,9 +561,10 @@ def average_embeddings(embeddings: list[np.ndarray]) -> np.ndarray:
 
 # --- parameter files ------------------------------------------------------
 #
-# Text header:  TDNNPARAMS <version> <num_classes> <feat_dim> <tensor count>
-# then one "name rows cols" line per tensor, a blank line, and the tensors'
-# row-major little-endian float64 payloads in header order.
+# Text header:  TDNNPARAMS <version> <num_classes> <feature dim> <tensor count>
+# where the feature dim is always NUM_FILTERS (40), then one "name rows cols"
+# line per tensor, a blank line, and the tensors' row-major little-endian
+# float64 payloads in header order.
 
 
 def save_params(path: str | Path, params: TdnnParams) -> None:
@@ -574,7 +574,7 @@ def save_params(path: str | Path, params: TdnnParams) -> None:
     }
     header = [
         f"{PARAMS_MAGIC} {PARAMS_VERSION} {params.config.num_classes} "
-        f"{params.config.feat_dim} {len(arrays)}"
+        f"{NUM_FILTERS} {len(arrays)}"
     ]
     header += [f"{name} {arr.shape[0]} {arr.shape[1]}" for name, arr in arrays.items()]
     p = Path(path)
@@ -590,8 +590,9 @@ def load_params(path: str | Path, dtype: np.dtype | type = np.float64) -> TdnnPa
     converted to dtype as it is read (extract loads float32 weights).
 
     A malformed header line is refused naming the file and the line, and
-    so is a tensor whose name or shape differs from what init_tdnn builds
-    for the header's class count and feature dim."""
+    so is a header whose feature dim is not NUM_FILTERS, and a tensor
+    whose name or shape differs from what init_tdnn builds for the
+    header's class count."""
     with open(path, "rb") as fh:
         lines = []
         while (line := fh.readline()) != b"\n":
@@ -625,11 +626,11 @@ def _parse_header(
     version, num_classes, feat_dim, count = map(int, magic[1:])
     if version != PARAMS_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    if num_classes < 1 or feat_dim < 1:
-        raise refuse(1, "classes and feature dim must be >= 1")
+    if num_classes < 1 or feat_dim != NUM_FILTERS:
+        raise refuse(1, f"classes must be >= 1 and the feature dim {NUM_FILTERS}")
     if len(lines) - 1 != count:
         raise ValueError(f"{path}: header declares {count} tensors, lists {len(lines) - 1}")
-    cfg = TdnnConfig(num_classes, feat_dim)
+    cfg = TdnnConfig(num_classes)
     want = _tensor_shapes(cfg)
     shapes: dict[str, tuple[int, ...]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -644,8 +645,7 @@ def _parse_header(
         if (rows, cols) != need:
             raise refuse(
                 lineno,
-                f"tensor {name} must be {need[0]} {need[1]} for {num_classes} classes "
-                f"and {feat_dim}-dim features",
+                f"tensor {name} must be {need[0]} {need[1]} for {num_classes} classes",
             )
         shapes[name] = want[name]
     missing = [name for name in want if name not in shapes]

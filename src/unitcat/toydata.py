@@ -59,8 +59,15 @@ def default_speaker_specs(
     units: tuple[str, ...] = DEFAULT_UNITS,
     uncovered_speakers: tuple[str, ...] = (),
 ) -> list[ToySpeakerSpec]:
-    """Varied per-unit counts per speaker; listed speakers lose their
-    first unit entirely (count 0) to exercise the skip path."""
+    """Varied per-unit counts per speaker spk0 .. spk<num_speakers - 1>;
+    listed speakers lose their first unit entirely (count 0) to exercise
+    the skip path. Listing a speaker that is not generated is refused."""
+    unknown = sorted(set(uncovered_speakers) - {f"spk{k}" for k in range(num_speakers)})
+    if unknown:
+        raise ValueError(
+            f"uncovered speakers {', '.join(unknown)} are not among the {num_speakers} "
+            "generated speakers"
+        )
     base_patterns = [(3, 2, 5, 1), (2, 4, 1, 3), (1, 1, 2, 2), (4, 1, 3, 2), (2, 3, 2, 4)]
     specs = []
     for k in range(num_speakers):
@@ -167,23 +174,3 @@ def _toy_trials(specs: list[ToySpeakerSpec], units: tuple[str, ...]) -> str:
             f"{synth_utterance_id(other.speaker_id, 0)} nontarget"
         )
     return "".join(line + "\n" for line in lines)
-
-
-def make_feature_classes(
-    num_classes: int,
-    per_class: int,
-    num_frames: int,
-    seed: int,
-    feat_dim: int = 40,
-    separation: float = 3.0,
-    noise: float = 0.3,
-) -> list[tuple[np.ndarray, int]]:
-    """Labeled synthetic feature matrices around per-class templates."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    templates = [separation * rng.standard_normal(feat_dim) for _ in range(num_classes)]
-    out = []
-    for label in range(num_classes):
-        for _ in range(per_class):
-            feats = templates[label] + noise * rng.standard_normal((num_frames, feat_dim))
-            out.append((feats, label))
-    return out

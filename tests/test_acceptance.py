@@ -40,7 +40,9 @@ from unitcat.tdnn import (
     train_step,
     transfer_init,
 )
-from unitcat.toydata import default_speaker_specs, make_feature_classes, make_toy_corpus
+from unitcat.toydata import default_speaker_specs, make_toy_corpus
+
+from feature_classes import make_feature_classes
 
 SILENCE = frozenset({"sil", "spn"})
 

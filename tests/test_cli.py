@@ -265,6 +265,74 @@ def test_full_cli_chain_to_metrics(cli_workspace, capsys, tmp_path):
     assert "min_dcf" in out
 
 
+@pytest.mark.parametrize("speakers", ["0", "-2"])
+def test_make_toy_refuses_fewer_than_one_speaker_as_a_usage_error(tmp_path, capsys, speakers):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("make-toy", "--out", str(tmp_path / "toy"), "--speakers", speakers)
+    assert exc.value.code == 1
+    assert "--speakers: expected an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "toy").exists()
+
+
+def test_make_toy_refuses_uncovered_speakers_it_does_not_generate(tmp_path, capsys):
+    code = run_cli(
+        "make-toy", "--out", str(tmp_path / "toy"), "--speakers", "2",
+        "--uncovered", "spk1,spk9",
+    )
+    assert code == 2
+    assert "uncovered speakers spk9 are not among the 2" in capsys.readouterr().err
+    assert not (tmp_path / "toy").exists()
+
+
+def _manifest_stage(command, corpus, manifest, out):
+    """argv of segment or featurize over manifest, audio and alignments of corpus."""
+    argv = [command, "--manifest", str(manifest), "--audio-root", str(corpus), "--out", str(out)]
+    if command == "segment":
+        argv += ["--ali", str(corpus / "ali.ctm"), "--units", "ni hao mi ya"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["segment", "featurize"])
+@pytest.mark.parametrize("channel", ["-1", "1_0", "\u0661"])
+def test_manifest_channel_that_is_not_ascii_digits_exits_2_naming_the_line(
+    cli_workspace, tmp_path, capsys, command, channel
+):
+    _, corpus, _, _, _ = cli_workspace
+    first, second = (corpus / "manifest.tsv").read_text().splitlines()[:2]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{first}\t0\n{second}\t{channel}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(*_manifest_stage(command, corpus, manifest, out)) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: line 2: channel index {channel!r}" in err
+    assert not out.exists() and not out.with_suffix(".tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "featurize"])
+@pytest.mark.parametrize("stereo, channel, fragment", [
+    (False, "1", "channel index 1 is out of range for the 1 channel(s) of"),
+    (True, "2", "channel index 2 is out of range for the 2 channel(s) of"),
+    (True, "", "has 2 channels and the manifest gives no channel index"),
+])
+def test_manifest_channel_outside_the_file_exits_2_naming_utterance_and_file(
+    cli_workspace, tmp_path, capsys, command, stereo, channel, fragment
+):
+    from unitcat.audio import Waveform, load_wav, save_wav
+
+    _, corpus, _, _, _ = cli_workspace
+    utt, speaker, text, audio = (corpus / "manifest.tsv").read_text().splitlines()[0].split("\t")
+    if stereo:
+        samples = load_wav(corpus / audio).samples
+        audio = str(tmp_path / "stereo.wav")
+        save_wav(audio, Waveform(np.vstack([samples, samples]), 16000))
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{utt}\t{speaker}\t{text}\t{audio}\t{channel}\n", encoding="utf-8")
+    assert run_cli(*_manifest_stage(command, corpus, manifest, tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"utterance {utt!r}" in err and fragment in err
+    assert ("stereo.wav" if stereo else audio) in err
+
+
 def test_featurize_with_vad_drops_silence_frames(cli_workspace, tmp_path):
     _, corpus, _, _, _ = cli_workspace
     plain = tmp_path / "plain"

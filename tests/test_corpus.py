@@ -127,6 +127,14 @@ def test_manifest_bad_channel_error():
         parse_manifest("u1\ts1\tni\ta.wav\tleft\n")
 
 
+@pytest.mark.parametrize("channel", ["-1", "+1", "1_0", "\u0661", " 1"])
+def test_manifest_channel_must_be_ascii_digits_naming_the_line(channel):
+    # int() takes each of these; the first three used to reach the audio as
+    # channel -1, 1 and 10
+    with pytest.raises(ManifestError, match="line 2: channel index"):
+        parse_manifest(f"u1\ts1\tni\ta.wav\t0\nu2\ts1\tni\ta.wav\t{channel}\n")
+
+
 def test_manifest_transcript_split_and_empty():
     records = parse_manifest("u1\ts1\tni hao ni\ta.wav\nu2\ts1\t\tb.wav\n")
     assert records[0].transcript == ("ni", "hao", "ni")

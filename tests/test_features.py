@@ -427,13 +427,6 @@ def test_spec_augment_zero_masks_is_identity():
     assert np.array_equal(spec_augment(f, p, 1), f)
 
 
-def test_spec_augment_explicit_mask_value():
-    f = np.ones((50, 40))
-    p = SpecAugmentParams(mask_value=-5.0)
-    out = spec_augment(f, p, 12)
-    assert set(np.unique(out)) <= {1.0, -5.0}
-
-
 def test_spec_augment_band_widths_within_limits():
     p = SpecAugmentParams(max_freq_mask_width=8, max_time_mask_width=20)
     for seed in range(200):

@@ -38,13 +38,6 @@ def test_next_below_is_roughly_uniform():
         assert abs(counts[v] / 50000 - 0.2) < 0.02
 
 
-def test_next_float_in_unit_interval():
-    rng = SplitMix64(7)
-    values = [rng.next_float() for _ in range(1000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-    assert max(values) > 0.9 and min(values) < 0.1
-
-
 def test_fnv1a64_known_value():
     # reference value of the 64-bit FNV-1a of "a"
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C

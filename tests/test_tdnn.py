@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitcat import tdnn
+from unitcat.features import NUM_FILTERS
 from unitcat.tdnn import (
     CHUNK_FRAMES,
     EMBED_DIM,
-    FEAT_DIM,
     MIN_FRAMES,
     STATS_DIM,
     AamParams,
@@ -30,7 +30,7 @@ from unitcat.tdnn import (
 from unitcat.workspace import Workspace
 
 
-def _feats(t, seed=0, dim=FEAT_DIM):
+def _feats(t, seed=0, dim=NUM_FILTERS):
     return np.random.default_rng(seed).normal(scale=2.0, size=(t, dim))
 
 
@@ -322,7 +322,7 @@ def test_stacked_batch_gradients_match_finite_differences():
 @pytest.mark.parametrize("where", [0, 3, -1])
 @pytest.mark.parametrize(
     "bad, match",
-    [(np.zeros((20, FEAT_DIM + 1)), "features"), (np.zeros((14, FEAT_DIM)), "at least 15")],
+    [(np.zeros((20, NUM_FILTERS + 1)), "features"), (np.zeros((14, NUM_FILTERS)), "at least 15")],
 )
 def test_bad_utterance_anywhere_is_refused_before_any_arithmetic(where, bad, match, monkeypatch):
     params = init_tdnn(TdnnConfig(num_classes=2), seed=27)
@@ -377,7 +377,7 @@ def test_batched_forward_of_no_utterances_is_empty():
 @pytest.mark.parametrize("where", [0, 3, -1])
 @pytest.mark.parametrize(
     "bad, match",
-    [(np.zeros((20, FEAT_DIM + 1)), "features"), (np.zeros((14, FEAT_DIM)), "at least 15")],
+    [(np.zeros((20, NUM_FILTERS + 1)), "features"), (np.zeros((14, NUM_FILTERS)), "at least 15")],
 )
 def test_batched_forward_refuses_a_bad_utterance_before_any_gemm(where, bad, match, monkeypatch):
     params = init_tdnn(TdnnConfig(num_classes=2), seed=62)
@@ -441,7 +441,7 @@ def test_batched_forward_workspace_holds_the_stream_and_two_layer_buffers(monkey
     (work,) = works
     sizes = [buf.size for buf in work.buffers]
     assert len(sizes) == 3
-    assert sizes[0] == frames * FEAT_DIM
+    assert sizes[0] == frames * NUM_FILTERS
     assert max(sizes[1:]) <= frames * widest
     for out in (embeddings, cosines):
         assert not any(np.shares_memory(out, b) for b in work.buffers)
@@ -492,11 +492,11 @@ def test_forward_refuses_params_of_mixed_dtypes():
 
 def _toy_batch(classes=2, per_class=3, t=18, seed=30):
     rng = np.random.default_rng(seed)
-    centers = rng.normal(scale=3.0, size=(classes, FEAT_DIM))
+    centers = rng.normal(scale=3.0, size=(classes, NUM_FILTERS))
     batch = []
     for c in range(classes):
         for _ in range(per_class):
-            batch.append((centers[c] + rng.normal(scale=0.3, size=(t, FEAT_DIM)), c))
+            batch.append((centers[c] + rng.normal(scale=0.3, size=(t, NUM_FILTERS)), c))
     return batch
 
 
@@ -617,7 +617,7 @@ def test_training_workspace_holds_activations_and_two_gradient_buffers():
     # the stream, each layer's spliced input and output over the rows that
     # straddle no two utterances, one gradient buffer the size of the
     # largest output and one weight-gradient scratch
-    want = [sum(lengths) * FEAT_DIM]
+    want = [sum(lengths) * NUM_FILTERS]
     rows = list(lengths)
     outs = []
     for (name, offsets, out_dim), (_, in_dim, _) in zip(tdnn.FRAME_LAYERS, layer_dims()):
@@ -664,12 +664,12 @@ def test_average_embeddings():
 
 
 def test_params_roundtrip(tmp_path):
-    params = init_tdnn(TdnnConfig(num_classes=6, feat_dim=40), seed=50)
+    params = init_tdnn(TdnnConfig(num_classes=6), seed=50)
     path = tmp_path / "params.bin"
     save_params(path, params)
+    assert path.read_bytes().split(b"\n", 1)[0].split()[3] == b"40"
     back = load_params(path)
     assert back.config.num_classes == 6
-    assert back.config.feat_dim == 40
     assert set(back.tensors) == set(params.tensors)
     for name in params.tensors:
         assert back.tensors[name].shape == params.tensors[name].shape
@@ -705,6 +705,8 @@ def test_params_file_error_gates(tmp_path):
     [
         (b"TDNNPARAMS 2 2 40 0\n\n", "unsupported version 2"),
         (b"TDNNPARAMS 1 2 40 2\nw 1 1\n\n", "header declares 2 tensors, lists 1"),
+        (b"TDNNPARAMS 1 2 39 13\n\n", "header line 1 .*feature dim 40"),
+        (b"TDNNPARAMS 1 2 80 13\n\n", "header line 1 .*feature dim 40"),
     ],
 )
 def test_params_header_refusals(tmp_path, header, fragment):
@@ -763,7 +765,7 @@ def _replace(old, new):
         (lambda lines: ["TDNNPARAMS 1 2 40 0"], "lists no tensor frame1.W"),
         (_replace("frame1.W 256 200", "frame1.W 256 199"), "tensor frame1.W must be 256 200"),
         (_replace("frame1.b 1 256", "frame1.b 256 1"), "tensor frame1.b must be 1 256"),
-        (_replace("TDNNPARAMS 1 2 40 13", "TDNNPARAMS 1 2 39 13"), "frame1.W must be 256 195"),
+        (_replace("TDNNPARAMS 1 2 40 13", "TDNNPARAMS 1 2 39 13"), "header line 1"),
         (_replace("frame1.W 256 200", "frame0.W 256 200"), "tensor frame0.W"),
         (_replace("frame2.b 1 256", "frame1.b 1 256"), "repeated tensor frame1.b"),
     ],

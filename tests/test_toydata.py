@@ -7,10 +7,11 @@ from unitcat.segmentation import build_library, extract_segments, library_stats
 from unitcat.toydata import (
     DEFAULT_UNITS,
     default_speaker_specs,
-    make_feature_classes,
     make_toy_corpus,
     unit_tone,
 )
+
+from feature_classes import make_feature_classes
 
 
 def test_default_specs_counts_and_uncovered():

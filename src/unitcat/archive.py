@@ -14,6 +14,7 @@ and never a second copy of the data file.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -26,11 +27,18 @@ class ArchiveError(ValueError):
 
 
 class ArchiveWriter:
+    """Writes an archive into temporary siblings of its two files and moves
+    them into place only on a clean close, the index last, so a reader
+    never finds a partial archive. A with block left through an exception
+    deletes them and leaves whatever archive was there unchanged."""
+
     def __init__(self, base: str | Path):
         base = Path(base)
         base.parent.mkdir(parents=True, exist_ok=True)
-        self._bin = open(base.with_suffix(".bin"), "wb")
-        self._tsv = open(base.with_suffix(".tsv"), "w", encoding="utf-8")
+        self._final = [base.with_suffix(".bin"), base.with_suffix(".tsv")]
+        self._temporary = [path.with_name(path.name + ".tmp") for path in self._final]
+        self._bin = open(self._temporary[0], "wb")
+        self._tsv = open(self._temporary[1], "w", encoding="utf-8")
         self._offset = 0
 
     def add(self, utt_id: str, matrix: np.ndarray) -> None:
@@ -47,12 +55,20 @@ class ArchiveWriter:
     def close(self) -> None:
         self._bin.close()
         self._tsv.close()
+        for temporary, final in zip(self._temporary, self._final):
+            os.replace(temporary, final)
 
     def __enter__(self) -> "ArchiveWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.close()
+            return
+        self._bin.close()
+        self._tsv.close()
+        for temporary in self._temporary:
+            temporary.unlink()
 
 
 def write_archive(base: str | Path, items) -> None:

@@ -94,13 +94,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="archive base path (.bin/.tsv)")
     p.add_argument("--audio-root", default=None)
     p.add_argument("--ali", default=None, help="alignments for VAD filtering")
-    p.add_argument("--cmn-window", type=int, default=default["cmn_window"])
     p.add_argument("--specaug", action="store_true", help="also write a masked 'train' archive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--freq-mask-width", type=int, default=default["freq_mask_width"])
-    p.add_argument("--num-freq-masks", type=int, default=default["num_freq_masks"])
-    p.add_argument("--time-mask-width", type=int, default=default["time_mask_width"])
-    p.add_argument("--num-time-masks", type=int, default=default["num_time_masks"])
 
     p = sub.add_parser("train-toy", help="smoke-train the embedding network")
     p.add_argument("--features", required=True, help="feature archive base path")
@@ -197,16 +192,10 @@ def _cmd_synth(args) -> list[str]:
 
 
 def _cmd_featurize(args) -> list[str]:
-    specaug = (
-        SpecAugmentParams(
-            args.freq_mask_width, args.num_freq_masks, args.time_mask_width, args.num_time_masks
-        )
-        if args.specaug
-        else None
-    )
+    specaug = SpecAugmentParams() if args.specaug else None
     sources = [(Path(args.manifest), _audio_root(args))]
     ali = Path(args.ali) if args.ali else None
-    return featurize_corpus(sources, Path(args.out), args.cmn_window, specaug, args.seed, ali)
+    return featurize_corpus(sources, Path(args.out), specaug, args.seed, ali)
 
 
 def _cmd_train_toy(args) -> list[str]:

@@ -39,8 +39,22 @@ def _parse_label_set(raw: str) -> frozenset[str]:
     return frozenset(raw.split())
 
 
+def _number(convert):
+    """convert as a parser that also refuses what int() and float() accept
+    but no config writes: digit-group underscores ('1_0') and non-ASCII
+    digits."""
+
+    def parse(raw: str):
+        if "_" in raw or not raw.isascii():
+            raise ValueError(f"expected a number in ASCII digits, got {raw!r}")
+        return convert(raw)
+
+    return parse
+
+
 def _checked(convert, ok, expected: str):
-    """A parser that converts a raw value and refuses it unless ok(value)."""
+    """A number parser that converts a raw value and refuses it unless ok(value)."""
+    convert = _number(convert)
 
     def parse(raw: str):
         value = convert(raw)
@@ -52,15 +66,15 @@ def _checked(convert, ok, expected: str):
 
 
 parse_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_parse_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _parse_learn_rate = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _parse_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _parse_probability = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_parse_float = _number(float)
 
 
 def parse_snr_list(raw: str) -> tuple[float, ...]:
     """Comma-separated SNRs in dB, empty items skipped; see check_snr_list."""
-    return check_snr_list(tuple(float(p) for p in raw.split(",") if p.strip()))
+    return check_snr_list(tuple(_parse_float(p) for p in raw.split(",") if p.strip()))
 
 
 def check_snr_list(snrs: tuple[float, ...]) -> tuple[float, ...]:
@@ -89,19 +103,14 @@ class PipelineConfig:
     corpus_dir: str = _setting("paths", "corpus_dir", str)
     out_dir: str = _setting("paths", "out_dir", str)
     transcript: tuple[str, ...] = _setting("synthesis", "transcript", parse_units)
-    seed: int = _setting("synthesis", "seed", int)
+    seed: int = _setting("synthesis", "seed", _number(int))
     noise_dir: str | None = _setting("paths", "noise_dir", str, None)
     rir_dir: str | None = _setting("paths", "rir_dir", str, None)
     snr_list: tuple[float, ...] = _setting("augment", "snr_list", parse_snr_list, ())
     silence_labels: frozenset[str] = _setting(
         "synthesis", "silence_labels", _parse_label_set, DEFAULT_SILENCE_LABELS
     )
-    cmn_window: int = _setting("features", "cmn_window", parse_positive_int, 300)
     spec_augment: bool = _setting("features", "spec_augment", _parse_bool, False)
-    freq_mask_width: int = _setting("features", "freq_mask_width", _parse_nonnegative_int, 8)
-    num_freq_masks: int = _setting("features", "num_freq_masks", _parse_nonnegative_int, 1)
-    time_mask_width: int = _setting("features", "time_mask_width", _parse_nonnegative_int, 20)
-    num_time_masks: int = _setting("features", "num_time_masks", _parse_nonnegative_int, 1)
     train_steps: int = _setting("train", "steps", parse_positive_int, 200)
     learn_rate: float = _setting("train", "learn_rate", _parse_learn_rate, 0.05)
     p_target: float = _setting("metrics", "p_target", _parse_probability, 0.01)

@@ -27,7 +27,7 @@ NUM_FILTERS = 40
 PRE_EMPHASIS = 0.97
 MEL_LOW_HZ = 20.0
 ENERGY_FLOOR = 1e-10
-CMN_WINDOW = 300
+CMN_WINDOW = 300  # frames: the x-vector recipe's 3 s sliding CMN
 
 
 def frame_sizes(sample_rate: int) -> tuple[int, int]:
@@ -181,6 +181,9 @@ def sliding_mean_normalize(f: np.ndarray, window: int = CMN_WINDOW) -> np.ndarra
 
 @dataclass
 class SpecAugmentParams:
+    """Mask bands; the defaults, one frequency band of up to 8 filters and
+    one time band of up to 20 frames, are the masks featurize draws."""
+
     max_freq_mask_width: int = 8
     num_freq_masks: int = 1
     max_time_mask_width: int = 20

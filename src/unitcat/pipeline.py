@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import ArchiveWriter, read_archive, read_index
+from .archive import ArchiveWriter, Record, read_archive, read_index
 from .audio import Waveform, load_wav
 from .config import ConfigError, PipelineConfig
 from .corpus import (
@@ -122,6 +122,29 @@ def _records_with_audio(
             )
         else:
             yield rec, wav.channel(rec.channel_index)
+
+
+def _refuse_unfit_features(stage: str, records: list[tuple[str, np.ndarray | Record]]) -> None:
+    """Refuse (id, record) pairs, naming up to five, if a record has fewer
+    than MIN_FRAMES rows or other than NUM_FILTERS columns, and then if one
+    holds a value that is not finite. The first check reads only .shape,
+    so it reads no archive.Record's payload."""
+    unfit = [
+        f"{utt_id} ({record.shape[0]}x{record.shape[1]})"
+        for utt_id, record in records
+        if record.shape[0] < MIN_FRAMES or record.shape[1] != NUM_FILTERS
+    ]
+    if unfit:
+        raise ValueError(
+            f"{stage} needs at least {MIN_FRAMES} frames of {NUM_FILTERS} features per "
+            f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
+        )
+    nonfinite = [utt_id for utt_id, record in records if not np.isfinite(record).all()]
+    if nonfinite:
+        raise ValueError(
+            f"{len(nonfinite)} feature records hold non-finite values: "
+            f"{', '.join(nonfinite[:5])}"
+        )
 
 
 def run_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> str:
@@ -239,7 +262,6 @@ def augment_audio(
 def featurize_corpus(
     sources: list[tuple[Path, Path]],
     out_base: Path,
-    cmn_window: int,
     specaug: SpecAugmentParams | None,
     seed: int,
     alignment_path: Path | None = None,
@@ -248,8 +270,6 @@ def featurize_corpus(
     root) source, in the archive out_base. With alignments, non-speech
     frames are dropped before normalization. With specaug, a masked copy
     of every record goes to the archive "train" beside out_base."""
-    if cmn_window < 1:
-        raise ValueError(f"cmn_window must be >= 1, got {cmn_window}")
     train_base = out_base.with_name("train")
     if specaug is not None and out_base.with_suffix("") == train_base:
         raise ValueError(f"{out_base} is where the masked archive goes; choose another name")
@@ -290,7 +310,7 @@ def featurize_corpus(
                             f"{wav.duration:.2f} s of audio lies inside a non-silence "
                             "alignment entry"
                         )
-                feats = sliding_mean_normalize(feats, cmn_window)
+                feats = sliding_mean_normalize(feats)
                 plain.add(rec.utterance_id, feats)
                 if masked is not None:
                     mask_seed = derive_seed(seed, "specaug", rec.utterance_id)
@@ -328,18 +348,10 @@ def train_model(
     speakers = sorted({speaker_of[u] for u in archive})
     if len(speakers) < 2:
         raise PipelineError(f"training needs at least 2 speakers, found {len(speakers)}")
-    short = [
-        f"{utt_id} ({len(records[0])})"
-        for utt_id, records in archive.items()
-        if len(records[0]) < MIN_FRAMES
-    ]
-    if short:
-        raise ValueError(
-            f"training needs at least {MIN_FRAMES} frames per utterance; "
-            f"{len(short)} have fewer: {', '.join(short[:5])}"
-        )
+    firsts = [(utt_id, records[0]) for utt_id, records in archive.items()]
+    _refuse_unfit_features("training", firsts)
     class_index = {s: i for i, s in enumerate(speakers)}
-    batch = [(records[0], class_index[speaker_of[utt_id]]) for utt_id, records in archive.items()]
+    batch = [(record, class_index[speaker_of[utt_id]]) for utt_id, record in firsts]
 
     params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init"))
     aam = AamParams()
@@ -374,22 +386,7 @@ def extract_embeddings(params_path: Path, features_base: Path, out_base: Path) -
         records = [
             (utt_id, r) for utt_id, recs in read_index(features_base, data).items() for r in recs
         ]
-        unfit = [
-            f"{utt_id} ({record.shape[0]}x{record.shape[1]})"
-            for utt_id, record in records
-            if record.shape[0] < MIN_FRAMES or record.shape[1] != NUM_FILTERS
-        ]
-        if unfit:
-            raise ValueError(
-                f"extraction needs at least {MIN_FRAMES} frames of {NUM_FILTERS} features per "
-                f"record; {len(unfit)} differ: {', '.join(unfit[:5])}"
-            )
-        nonfinite = [utt_id for utt_id, record in records if not np.isfinite(record).all()]
-        if nonfinite:
-            raise ValueError(
-                f"{len(nonfinite)} feature records hold non-finite values: "
-                f"{', '.join(nonfinite[:5])}"
-            )
+        _refuse_unfit_features("extraction", records)
         embeddings, _ = forward(params, [record for _, record in records])
     with ArchiveWriter(out_base) as writer:
         for (utt_id, _), embedding in zip(records, embeddings):
@@ -481,15 +478,9 @@ def _corpus_sources(out: Path) -> list[tuple[Path, Path]]:
 
 
 def _stage_featurize(cfg: PipelineConfig, out: Path) -> list[str]:
-    specaug = (
-        SpecAugmentParams(
-            cfg.freq_mask_width, cfg.num_freq_masks, cfg.time_mask_width, cfg.num_time_masks
-        )
-        if cfg.spec_augment
-        else None
-    )
+    specaug = SpecAugmentParams() if cfg.spec_augment else None
     feats = _fresh(out / "features") / "features"
-    return featurize_corpus(_corpus_sources(out), feats, cfg.cmn_window, specaug, cfg.seed)
+    return featurize_corpus(_corpus_sources(out), feats, specaug, cfg.seed)
 
 
 def _stage_train(cfg: PipelineConfig, out: Path) -> list[str]:

@@ -193,7 +193,14 @@ def load_library(speaker_dir: str | Path) -> UnitLibrary:
                 f"{manifest}:{lineno}: expected 5 fields, got {len(fields)}"
             )
         spk, unit, source, start_s, end_s = fields
-        rows.append((spk, unit, source, int(start_s), int(end_s)))
+        # -1 marks what is not ASCII digits: int() would also take "-5" and "1_0"
+        start, end = (int(t) if t.isascii() and t.isdigit() else -1 for t in (start_s, end_s))
+        if not 0 <= start < end:
+            raise SegmentationError(
+                f"{manifest}:{lineno}: start and end must be non-negative integers with "
+                f"end above start, got {start_s!r} and {end_s!r}"
+            )
+        rows.append((spk, unit, source, start, end))
     if not rows:
         return UnitLibrary(speaker_id=speaker_dir.name, table={})
 

@@ -47,6 +47,22 @@ def test_writer_context_manager(tmp_path):
     assert index == "x\t0\t2\t3\n"
 
 
+def test_writer_leaves_no_temporary_file_after_a_clean_close(tmp_path):
+    write_archive(tmp_path / "w", [("x", np.zeros((2, 3), dtype=np.float32))])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.bin", "w.tsv"]
+
+
+def test_writer_left_through_an_exception_keeps_the_old_archive(tmp_path):
+    base = tmp_path / "w"
+    write_archive(base, [("old", np.ones((4, 3), dtype=np.float32))])
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(RuntimeError, match="refused"):
+        with ArchiveWriter(base) as w:
+            w.add("new", np.zeros((2, 3), dtype=np.float32))
+            raise RuntimeError("refused")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_rejects_higher_rank_records(tmp_path):
     with ArchiveWriter(tmp_path / "w") as w:
         with pytest.raises(ArchiveError, match="1-D or 2-D"):

@@ -59,11 +59,6 @@ CONFIG_FLAGS = {
     ("synth", "--libdir", "l", "--transcript", "ni", "--seed", "1", "--out", "o"): {
         "noise_dir": "noise_dir", "snr_list": "snr_list", "rir_dir": "rir_dir",
     },
-    ("featurize", "--manifest", "m", "--out", "o"): {
-        "cmn_window": "cmn_window", "freq_mask_width": "freq_mask_width",
-        "num_freq_masks": "num_freq_masks", "time_mask_width": "time_mask_width",
-        "num_time_masks": "num_time_masks",
-    },
     ("train-toy", "--features", "f", "--manifest", "m", "--out", "o"): {
         "steps": "train_steps", "lr": "learn_rate",
     },
@@ -478,7 +473,37 @@ def test_train_toy_names_utterances_too_short_to_train_on(cli_workspace, tmp_pat
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{ids[1]} (0)" in err and "at least 15 frames" in err
+    assert f"{ids[1]} (0x40)" in err and "at least 15 frames" in err
+
+
+@pytest.mark.parametrize("fault", ["nan", "wide"])
+def test_train_toy_names_records_it_cannot_train_on_before_training(
+    cli_workspace, tmp_path, capsys, fault
+):
+    _, _, _, synth, feats = cli_workspace
+    records = read_archive(feats)
+    ids = list(records)
+    bad = records[ids[1]][0].copy()
+    if fault == "nan":
+        bad[2, 3] = np.nan
+    else:
+        bad = np.hstack([bad, bad[:, :1]])
+    broken = tmp_path / "broken"
+    write_archive(
+        broken, [(utt, bad if utt == ids[1] else recs[0]) for utt, recs in records.items()]
+    )
+    params = tmp_path / "params.bin"
+    code = run_cli(
+        "train-toy", "--features", str(broken), "--manifest", str(synth / "manifest.tsv"),
+        "--out", str(params), "--steps", "1",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    if fault == "nan":
+        assert f"1 feature records hold non-finite values: {ids[1]}" in err
+    else:
+        assert f"{ids[1]} ({len(bad)}x41)" in err and "15 frames of 40 features" in err
+    assert not params.exists()
 
 
 def test_synth_with_augmentation(cli_workspace, tmp_path, capsys):
@@ -527,11 +552,10 @@ def test_featurize_specaug_refuses_an_archive_named_train(cli_workspace, tmp_pat
     assert "masked archive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("window", ["0", "-3"])
-def test_featurize_bad_cmn_window_leaves_existing_archives_unchanged(
-    cli_workspace, tmp_path, capsys, window
+def test_featurize_refused_midway_leaves_existing_archives_unchanged(
+    cli_workspace, tmp_path, capsys
 ):
-    _, _, _, synth, feats = cli_workspace
+    _, corpus, _, _, feats = cli_workspace
     # an earlier run's plain and masked archives sit where this run writes
     before = {}
     for name in ("features", "train"):
@@ -539,14 +563,31 @@ def test_featurize_bad_cmn_window_leaves_existing_archives_unchanged(
             path = tmp_path / f"{name}{suffix}"
             path.write_bytes(feats.with_suffix(suffix).read_bytes())
             before[path] = path.read_bytes()
+    # the second utterance names a channel its mono file lacks
+    first, second = (corpus / "manifest.tsv").read_text().splitlines()[:2]
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{first}\n{second}\t3\n", encoding="utf-8")
     code = run_cli(
-        "featurize", "--manifest", str(synth / "manifest.tsv"),
-        "--out", str(tmp_path / "features"), "--specaug", "--cmn-window", window,
+        "featurize", "--manifest", str(manifest), "--audio-root", str(corpus),
+        "--out", str(tmp_path / "features"), "--specaug",
     )
     for path, data in before.items():
         assert path.read_bytes() == data, path
     assert code == 2
-    assert f"cmn_window must be >= 1, got {window}" in capsys.readouterr().err
+    assert "channel index 3 is out of range" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["manifest.tsv", *(p.name for p in before)]
+    )
+
+
+@pytest.mark.parametrize(
+    "flag", ["--cmn-window", "--freq-mask-width", "--num-freq-masks", "--time-mask-width",
+             "--num-time-masks"]
+)
+def test_featurize_has_no_flag_for_a_recipe_constant(flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("featurize", "--manifest", "m", "--out", "o", flag, "5")
+    assert exc.value.code == 1
 
 
 def test_cli_stages_match_run_byte_for_byte(tmp_path):
@@ -706,7 +747,23 @@ def test_plot_roc_names_a_malformed_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, setting", [("features", "cmn_window = 0"), ("metrics", "p_target = 1.5")]
+    "key", ["cmn_window", "freq_mask_width", "num_freq_masks", "time_mask_width", "num_time_masks"]
+)
+def test_run_refuses_a_removed_feature_key_before_the_first_stage(tmp_path, capsys, key):
+    out_dir = tmp_path / "out"
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(
+        f"[paths]\ncorpus_dir = {tmp_path / 'corpus'}\nout_dir = {out_dir}\n"
+        "[synthesis]\ntranscript = ni hao mi ya\nseed = 5\n"
+        f"[features]\nspec_augment = true\n{key} = 1\n"
+    )
+    assert run_cli("run", "--config", str(cfg)) == 2
+    assert f"line 9: unknown key features.{key}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "section, setting", [("augment", "snr_list = 0, nan"), ("metrics", "p_target = 1.5")]
 )
 def test_run_refuses_bad_values_before_the_first_stage(tmp_path, capsys, section, setting):
     corpus = tmp_path / "corpus"

@@ -32,7 +32,6 @@ def test_minimal_config_and_defaults():
     assert cfg.rir_dir is None
     assert cfg.snr_list == ()
     assert cfg.silence_labels == DEFAULT_SILENCE_LABELS
-    assert cfg.cmn_window == 300
     assert cfg.spec_augment is False
     assert cfg.train_steps == 200
     assert cfg.learn_rate == 0.05
@@ -54,12 +53,7 @@ def test_full_config():
         "[augment]\n"
         "snr_list = 0, 5, 10\n"
         "[features]\n"
-        "cmn_window = 150\n"
         "spec_augment = true\n"
-        "freq_mask_width = 4\n"
-        "num_freq_masks = 2\n"
-        "time_mask_width = 10\n"
-        "num_time_masks = 2\n"
         "[train]\n"
         "steps = 30\n"
         "learn_rate = 0.1\n"
@@ -72,10 +66,7 @@ def test_full_config():
     assert cfg.noise_dir == "/noise"
     assert cfg.snr_list == (0.0, 5.0, 10.0)
     assert cfg.silence_labels == frozenset({"sil", "spn", "hum"})
-    assert cfg.cmn_window == 150
     assert cfg.spec_augment is True
-    assert cfg.freq_mask_width == 4
-    assert cfg.num_time_masks == 2
     assert cfg.train_steps == 30
     assert cfg.learn_rate == 0.1
     assert cfg.p_target == 0.05
@@ -142,12 +133,6 @@ def test_smallest_train_values_accepted():
 @pytest.mark.parametrize(
     "section, key, raw",
     [
-        ("features", "cmn_window", "0"),
-        ("features", "cmn_window", "-5"),
-        ("features", "freq_mask_width", "-1"),
-        ("features", "num_freq_masks", "-1"),
-        ("features", "time_mask_width", "-2"),
-        ("features", "num_time_masks", "-1"),
         ("metrics", "p_target", "0"),
         ("metrics", "p_target", "1"),
         ("metrics", "p_target", "1.5"),
@@ -166,16 +151,33 @@ def test_feature_and_metric_values_out_of_range_name_line_and_key(section, key, 
 
 def test_smallest_feature_and_metric_values_accepted():
     text = MINIMAL + (
-        "[features]\ncmn_window = 1\nfreq_mask_width = 0\nnum_freq_masks = 0\n"
-        "time_mask_width = 0\nnum_time_masks = 0\n"
         "[metrics]\np_target = 1e-9\nc_miss = 1e-9\nc_fa = 1e-9\n"
     )
     cfg = validate_config(text)
-    assert cfg.cmn_window == 1
-    assert (cfg.freq_mask_width, cfg.num_freq_masks, cfg.time_mask_width, cfg.num_time_masks) == (
-        0, 0, 0, 0
-    )
     assert (cfg.p_target, cfg.c_miss, cfg.c_fa) == (1e-9, 1e-9, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "section, key, raw",
+    [
+        ("synthesis", "seed", "1_0"),
+        ("synthesis", "seed", "\u0661"),
+        ("train", "steps", "\u0661"),
+        ("train", "learn_rate", "0.0_5"),
+        ("augment", "snr_list", "0, 1_0"),
+        ("metrics", "p_target", "0.\u0660\u0661"),
+        ("metrics", "c_miss", "1_0"),
+        ("metrics", "c_fa", "\u0661"),
+    ],
+)
+def test_numbers_with_underscores_or_non_ascii_digits_name_line_and_key(section, key, raw):
+    if key == "seed":
+        text, lineno = MINIMAL.replace("seed = 17", f"seed = {raw}"), 7
+    else:
+        text, lineno = MINIMAL + f"[{section}]\n{key} = {raw}\n", 9
+    with pytest.raises(ConfigError, match=f"line {lineno}: bad value for {section}.{key}: "
+                       "expected a number in ASCII digits"):
+        validate_config(text)
 
 
 def test_bool_parsing():

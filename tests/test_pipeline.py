@@ -272,7 +272,7 @@ def test_run_writes_one_wav_per_library_and_per_augmented_utterance(augmented_ru
 
 
 def test_featurize_reads_each_audio_file_once(augmented_run, monkeypatch, tmp_path):
-    cfg, out = augmented_run
+    _, out = augmented_run
     loaded = []
     real_load_wav = pipeline.load_wav
 
@@ -282,7 +282,7 @@ def test_featurize_reads_each_audio_file_once(augmented_run, monkeypatch, tmp_pa
 
     monkeypatch.setattr(pipeline, "load_wav", counting_load_wav)
     sources = pipeline._corpus_sources(out)
-    lines = pipeline.featurize_corpus(sources, tmp_path / "features", cfg.cmn_window, None, 0)
+    lines = pipeline.featurize_corpus(sources, tmp_path / "features", None, 0)
     paths = [root / r.audio_path for manifest, root in sources for r in load_manifest(manifest)]
     assert lines[0] == f"utterances: {len(paths)}" == "utterances: 36"
     # 9 synthesized files, then 9 packed files of three copies each
@@ -291,7 +291,7 @@ def test_featurize_reads_each_audio_file_once(augmented_run, monkeypatch, tmp_pa
 
 
 def test_packed_copies_featurize_as_one_file_per_copy(augmented_run, tmp_path):
-    cfg, out = augmented_run
+    _, out = augmented_run
     augmented = out / "augmented"
     # the same copies, each written to its own mono file
     split = tmp_path / "split"
@@ -306,7 +306,7 @@ def test_packed_copies_featurize_as_one_file_per_copy(augmented_run, tmp_path):
     specaug = SpecAugmentParams(4, 1, 6, 1)
     for name, root in (("packed", augmented), ("split", split)):
         pipeline.featurize_corpus(
-            [(root / "manifest.tsv", root)], tmp_path / name / "feats", cfg.cmn_window, specaug, 3
+            [(root / "manifest.tsv", root)], tmp_path / name / "feats", specaug, 3
         )
     for archive in ("feats.tsv", "feats.bin", "train.tsv", "train.bin"):
         packed_bytes = (tmp_path / "packed" / archive).read_bytes()

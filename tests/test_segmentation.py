@@ -268,6 +268,21 @@ def test_load_library_refuses_a_wav_that_does_not_hold_its_rows(tmp_path, extra)
         load_library(speaker_dir)
 
 
+@pytest.mark.parametrize(
+    "start, end",
+    [("x", "20"), ("-5", "20"), ("1_0", "20"), ("4", "\u0662\u0660"), ("20", "20"), ("20", "4")],
+)
+def test_load_library_refuses_a_start_or_end_that_is_not_a_sample_range(tmp_path, start, end):
+    speaker_dir, _ = _saved_library(tmp_path)
+    manifest = speaker_dir / "segments.tsv"
+    lines = manifest.read_text().splitlines()
+    lines[1] = "\t".join(lines[1].split("\t")[:3] + [start, end])
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = f"{re.escape(str(manifest))}:2: start and end must be non-negative integers"
+    with pytest.raises(SegmentationError, match=message):
+        load_library(speaker_dir)
+
+
 def test_load_library_refuses_a_multichannel_wav(tmp_path):
     speaker_dir, _ = _saved_library(tmp_path)
     save_wav(speaker_dir / "segments.wav", Waveform(np.zeros((2, 46), dtype=np.int16), 16000))

@@ -580,6 +580,31 @@ def test_featurize_refused_midway_leaves_existing_archives_unchanged(
     )
 
 
+@pytest.mark.parametrize("window", ["-3", "0"])
+def test_featurize_bad_cmn_window_leaves_existing_archives_unchanged(
+    cli_workspace, tmp_path, capsys, window
+):
+    _, _, _, synth, feats = cli_workspace
+    # an earlier run's plain and masked archives sit where this run writes
+    before = {}
+    for name in ("features", "train"):
+        for suffix in (".bin", ".tsv"):
+            path = tmp_path / f"{name}{suffix}"
+            path.write_bytes(feats.with_suffix(suffix).read_bytes())
+            before[path] = path.read_bytes()
+    # the CMN window is a recipe constant, so the flag itself is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "featurize", "--manifest", str(synth / "manifest.tsv"),
+            "--out", str(tmp_path / "features"), "--specaug", "--cmn-window", window,
+        )
+    for path, data in before.items():
+        assert path.read_bytes() == data, path
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --cmn-window" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)
+
+
 @pytest.mark.parametrize(
     "flag", ["--cmn-window", "--freq-mask-width", "--num-freq-masks", "--time-mask-width",
              "--num-time-masks"]

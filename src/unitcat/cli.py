@@ -11,8 +11,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import (PipelineConfig, parse_positive_int, parse_snr_list, parse_units,
-                     validate_config)
+from .config import (PipelineConfig, parse_float, parse_int, parse_positive_int, parse_snr_list,
+                     parse_units, validate_config)
 from .features import SpecAugmentParams
 from .kws import (DEFAULT_SEARCH_WINDOW, DEFAULT_SMOOTH_WINDOW, KeywordSpec, frr_at_far, kws_roc,
                   load_labels, load_posteriors, utterance_confidence)
@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="synthesize utterances from unit libraries")
     p.add_argument("--libdir", required=True)
     p.add_argument("--transcript", type=_arg(parse_units), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_arg(parse_int), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--noise-dir", default=default["noise_dir"])
     p.add_argument("--snr-list", type=_arg(parse_snr_list), default=default["snr_list"],
@@ -95,15 +95,15 @@ def build_parser() -> _Parser:
     p.add_argument("--audio-root", default=None)
     p.add_argument("--ali", default=None, help="alignments for VAD filtering")
     p.add_argument("--specaug", action="store_true", help="also write a masked 'train' archive")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_arg(parse_int), default=0)
 
     p = sub.add_parser("train-toy", help="smoke-train the embedding network")
     p.add_argument("--features", required=True, help="feature archive base path")
     p.add_argument("--manifest", required=True, help="manifest providing speaker labels")
     p.add_argument("--out", required=True, help="parameter file to write")
-    p.add_argument("--steps", type=int, default=default["train_steps"])
-    p.add_argument("--lr", type=float, default=default["learn_rate"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=_arg(parse_int), default=default["train_steps"])
+    p.add_argument("--lr", type=_arg(parse_float), default=default["learn_rate"])
+    p.add_argument("--seed", type=_arg(parse_int), default=0)
 
     p = sub.add_parser("extract", help="extract embeddings with trained parameters")
     p.add_argument("--params", required=True)
@@ -117,9 +117,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="compute EER and minDCF from a score file")
     p.add_argument("--scores", required=True)
-    p.add_argument("--p-target", type=float, default=default["p_target"])
-    p.add_argument("--c-miss", type=float, default=default["c_miss"])
-    p.add_argument("--c-fa", type=float, default=default["c_fa"])
+    p.add_argument("--p-target", type=_arg(parse_float), default=default["p_target"])
+    p.add_argument("--c-miss", type=_arg(parse_float), default=default["c_miss"])
+    p.add_argument("--c-fa", type=_arg(parse_float), default=default["c_fa"])
     p.add_argument("--roc", default=None, help="write the sweep as TSV here")
 
     p = sub.add_parser("plot-roc", help="render a sweep TSV as SVG")
@@ -132,15 +132,15 @@ def build_parser() -> _Parser:
     p.add_argument("--neg", required=True, help="negative posterior archive base")
     p.add_argument("--labels", required=True)
     p.add_argument("--keyword", type=_arg(parse_units), required=True)
-    p.add_argument("--smooth", type=int, default=DEFAULT_SMOOTH_WINDOW)
-    p.add_argument("--search", type=int, default=DEFAULT_SEARCH_WINDOW)
+    p.add_argument("--smooth", type=_arg(parse_int), default=DEFAULT_SMOOTH_WINDOW)
+    p.add_argument("--search", type=_arg(parse_int), default=DEFAULT_SEARCH_WINDOW)
     p.add_argument("--exclude-first", action="store_true")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="run pipeline stages from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--stages", default=None, help="comma list, or 'none' to only validate")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_arg(parse_int), default=None, help="override the config seed")
 
     return parser
 

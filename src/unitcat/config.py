@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .corpus import DEFAULT_SILENCE_LABELS
+from .corpus import DEFAULT_SILENCE_LABELS, ascii_number
 
 
 class ConfigError(ValueError):
@@ -39,22 +39,9 @@ def _parse_label_set(raw: str) -> frozenset[str]:
     return frozenset(raw.split())
 
 
-def _number(convert):
-    """convert as a parser that also refuses what int() and float() accept
-    but no config writes: digit-group underscores ('1_0') and non-ASCII
-    digits."""
-
-    def parse(raw: str):
-        if "_" in raw or not raw.isascii():
-            raise ValueError(f"expected a number in ASCII digits, got {raw!r}")
-        return convert(raw)
-
-    return parse
-
-
 def _checked(convert, ok, expected: str):
     """A number parser that converts a raw value and refuses it unless ok(value)."""
-    convert = _number(convert)
+    convert = ascii_number(convert)
 
     def parse(raw: str):
         value = convert(raw)
@@ -69,12 +56,13 @@ parse_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _parse_learn_rate = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 _parse_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _parse_probability = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
-_parse_float = _number(float)
+parse_int = ascii_number(int)
+parse_float = ascii_number(float)
 
 
 def parse_snr_list(raw: str) -> tuple[float, ...]:
     """Comma-separated SNRs in dB, empty items skipped; see check_snr_list."""
-    return check_snr_list(tuple(_parse_float(p) for p in raw.split(",") if p.strip()))
+    return check_snr_list(tuple(parse_float(p) for p in raw.split(",") if p.strip()))
 
 
 def check_snr_list(snrs: tuple[float, ...]) -> tuple[float, ...]:
@@ -103,7 +91,7 @@ class PipelineConfig:
     corpus_dir: str = _setting("paths", "corpus_dir", str)
     out_dir: str = _setting("paths", "out_dir", str)
     transcript: tuple[str, ...] = _setting("synthesis", "transcript", parse_units)
-    seed: int = _setting("synthesis", "seed", _number(int))
+    seed: int = _setting("synthesis", "seed", parse_int)
     noise_dir: str | None = _setting("paths", "noise_dir", str, None)
     rir_dir: str | None = _setting("paths", "rir_dir", str, None)
     snr_list: tuple[float, ...] = _setting("augment", "snr_list", parse_snr_list, ())

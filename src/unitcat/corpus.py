@@ -1,7 +1,8 @@
 """Corpus metadata: alignment files and utterance manifests.
 
 Alignment files are CTM-like text, five whitespace-separated fields per
-line: utterance_id channel start duration unit. Manifests are TSV with
+line: utterance_id channel start duration unit, the times in seconds
+written in ASCII digits. Manifests are TSV with
 columns utterance_id, speaker_id, transcript (space-joined units),
 audio_path and an optional channel index, a non-negative integer in ASCII
 digits.
@@ -18,6 +19,22 @@ DEFAULT_SILENCE_LABELS = frozenset({"sil", "spn"})
 # Adjacent entries written with 2-3 decimals can differ from exact adjacency
 # by float rounding (0.1 + 0.2 > 0.3); only larger overlaps are real.
 _OVERLAP_EPS = 1e-9
+
+
+def ascii_number(convert):
+    """convert (int or float) as a parser that also refuses what int() and
+    float() accept but no unitcat file, config or flag is written with:
+    digit-group underscores ('1_0') and non-ASCII digits."""
+
+    def parse(raw: str):
+        if "_" in raw or not raw.isascii():
+            raise ValueError(f"expected a number in ASCII digits, got {raw!r}")
+        return convert(raw)
+
+    return parse
+
+
+_parse_time = ascii_number(float)
 
 
 class AlignmentError(ValueError):
@@ -67,8 +84,8 @@ def parse_alignment(text: str) -> list[AlignmentEntry]:
             )
         utterance_id, _channel, start_s, duration_s, unit = fields
         try:
-            start = float(start_s)
-            duration = float(duration_s)
+            start = _parse_time(start_s)
+            duration = _parse_time(duration_s)
         except ValueError:
             raise AlignmentError(
                 f"line {lineno}: non-numeric time field in {start_s!r} / {duration_s!r}"

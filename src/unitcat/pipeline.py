@@ -332,7 +332,12 @@ def train_model(
     seed: int,
 ) -> list[str]:
     """Train the TDNN on the first record of every archived id, labelled
-    with its speaker from the manifests."""
+    with its speaker from the manifests.
+
+    Training computes in float32: the weights start as init_tdnn's float64
+    draw rounded once, every step's buffers come from one float32
+    Workspace, and save_params widens the trained weights exactly, so
+    extract's float32 load reads back the very weights trained here."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _require(features_base.with_suffix(".tsv"), "feature archive")
@@ -353,10 +358,14 @@ def train_model(
     class_index = {s: i for i, s in enumerate(speakers)}
     batch = [(record, class_index[speaker_of[utt_id]]) for utt_id, record in firsts]
 
-    params = init_tdnn(TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init"))
+    # float32 runs the step's GEMMs at about twice the float64 rate; no
+    # name keeps the float64 draw alive while training runs
+    params = init_tdnn(
+        TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init")
+    ).astype(np.float32)
     aam = AamParams()
     losses = []
-    work = Workspace()
+    work = Workspace(np.float32)
     for _ in range(steps):
         params, loss = train_step(params, batch, learn_rate, aam, work)
         losses.append(loss)

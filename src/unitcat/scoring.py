@@ -40,6 +40,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .corpus import ascii_number
 from .tdnn import average_embeddings
 
 DEFAULT_P_TARGET = 0.01
@@ -232,12 +233,7 @@ def score_trials(trials: TrialList, embeddings: dict[str, list[np.ndarray]]) -> 
 # --- text formats ---------------------------------------------------------
 
 
-def _number(field: str) -> float:
-    """float(field), refusing what float() accepts but no number file
-    writes: digit-group underscores ('1_0') and non-ASCII digits."""
-    if "_" in field or not field.isascii():
-        raise ValueError(field)
-    return float(field)
+_number = ascii_number(float)
 
 
 def parse_trials(lines: Iterable[str]) -> TrialList:

@@ -5,10 +5,11 @@ front end's NUM_FILTERS (40) log-mel features, a pooling layer
 concatenates per-dimension mean and standard deviation over all valid
 frames, an affine layer produces the 256-dim embedding (pre-activation),
 and a bias-free projection yields per-class cosines trained with an
-additive-angular-margin softmax. Training is float64 numpy only, with
-hand-derived analytic gradients, so the whole network is
-finite-difference checkable; ``forward`` computes in its weights' dtype,
-so float32 weights (as ``extract`` loads them) give a float32 pass.
+additive-angular-margin softmax, with hand-derived analytic gradients.
+``forward``, ``loss_and_grads`` and ``train_step`` compute in their
+weights' dtype, float32 or float64. ``run`` trains and extracts in
+float32; the finite-difference gradient checks run the same code in
+float64, and ``forward_activations``, which serves them, is float64 only.
 
 Every pass is stacked: ``loss_and_grads`` and ``forward`` concatenate up
 to CHUNK_FRAMES frames of their utterances into one stream and run each
@@ -92,10 +93,17 @@ class TdnnParams:
             )
         return dtypes.pop()
 
+    def astype(self, dtype: np.dtype | type) -> TdnnParams:
+        """The same weights with every tensor converted to dtype."""
+        return TdnnParams(self.config, {n: t.astype(dtype) for n, t in self.tensors.items()})
 
-def _float64_only(params: TdnnParams, what: str) -> None:
-    if params.dtype != np.float64:
-        raise ValueError(f"{what} runs on float64 params only, got {params.dtype}")
+
+def _compute_dtype(params: TdnnParams, what: str, allowed=(np.float32, np.float64)) -> np.dtype:
+    """The dtype that what computes in: params' dtype, refused unless allowed."""
+    if params.dtype not in allowed:
+        names = " or ".join(np.dtype(d).name for d in allowed)
+        raise ValueError(f"{what} runs on {names} params only, got {params.dtype}")
+    return params.dtype
 
 
 def layer_dims() -> list[tuple[str, int, int]]:
@@ -239,9 +247,9 @@ def _pool(
 def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.ndarray]:
     """Forward pass over one utterance keeping each frame layer's spliced
     input and output, the pooled statistics, the embedding and the
-    cosines. float64 params only, like loss_and_grads, whose gradient
-    checks it serves."""
-    _float64_only(params, "forward_activations")
+    cosines. float64 params only: it serves the finite-difference checks
+    of loss_and_grads, which run in float64."""
+    _compute_dtype(params, "forward_activations", (np.float64,))
     _check_feats(feats)
     feats = np.asarray(feats, dtype=np.float64)
     acts: dict[str, np.ndarray] = {}
@@ -278,7 +286,7 @@ def forward(
     utts = feats if batched else [feats]
     lengths = [_check_feats(f) for f in utts]
     chunks = _chunks(lengths)
-    work = Workspace(params.dtype)
+    work = Workspace(_compute_dtype(params, "forward"))
     frames = max((sum(lengths[i] for i in chunk) for chunk in chunks), default=0)
     widest = max(max(i, o) for _, i, o in layer_dims())
     stream_buf = work((frames * NUM_FILTERS,))
@@ -409,16 +417,22 @@ def loss_and_grads(
     work, so the chunks reuse the same pages. A training loop owns one
     Workspace for all its steps and passes it to every call; without one,
     the call allocates its own. The returned gradients never alias work.
-    Training runs on float64 params only; other params are refused.
+
+    The pass computes in the dtype of params' tensors, float32 or float64:
+    work must hold that dtype, the features are cast to it as they are
+    stacked, and the gradients take it. aam_loss computes each utterance's
+    row in float64 either way.
     """
-    _float64_only(params, "loss_and_grads")
+    dtype = _compute_dtype(params, "loss_and_grads")
+    if work is None:
+        work = Workspace(dtype)
+    if work.dtype != dtype:
+        raise ValueError(f"a {work.dtype} Workspace cannot hold a {dtype} pass")
     lengths = [_check_feats(feats) for feats, _ in batch]
     utts = [(np.asarray(feats), label) for feats, label in batch]
     if not utts:
         raise ValueError("empty batch")
     grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-    if work is None:
-        work = Workspace()
     loss = 0.0
     for chunk in _chunks(lengths):
         work.rewind()
@@ -522,9 +536,10 @@ def train_step(
     aam: AamParams,
     work: Workspace | None = None,
 ) -> tuple[TdnnParams, float]:
-    """One gradient-descent update on the batch-mean loss; params is left
-    unchanged. work goes to loss_and_grads: a training loop owns one
-    Workspace for all its steps; the new tensors never alias it."""
+    """One gradient-descent update on the batch-mean loss, in params'
+    dtype; params is left unchanged. work goes to loss_and_grads: a
+    training loop owns one Workspace for all its steps; the new tensors
+    never alias it."""
     if not math.isfinite(lr) or lr < 0:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
     loss_sum, grads = loss_and_grads(params, batch, aam, work)

@@ -105,6 +105,33 @@ def test_unit_list_flag_refusal_is_a_usage_error_with_the_config_message(capsys)
     assert "argument --transcript: expected at least one unit" in capsys.readouterr().err
 
 
+# each command with its required arguments, then a numeric flag
+NUMBER_FLAGS = [
+    (("synth", "--libdir", "l", "--transcript", "ni", "--out", "o"), "--seed"),
+    (("featurize", "--manifest", "m", "--out", "o"), "--seed"),
+    (("train-toy", "--features", "f", "--manifest", "m", "--out", "o"), "--seed"),
+    (("train-toy", "--features", "f", "--manifest", "m", "--out", "o"), "--steps"),
+    (("train-toy", "--features", "f", "--manifest", "m", "--out", "o"), "--lr"),
+    (("eval", "--scores", "s"), "--p-target"),
+    (("eval", "--scores", "s"), "--c-miss"),
+    (("eval", "--scores", "s"), "--c-fa"),
+    (("kws-eval", "--pos", "p", "--neg", "n", "--labels", "l", "--keyword", "ni", "--out", "o"),
+     "--smooth"),
+    (("kws-eval", "--pos", "p", "--neg", "n", "--labels", "l", "--keyword", "ni", "--out", "o"),
+     "--search"),
+    (("run", "--config", "c"), "--seed"),
+]
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\u0661"])
+@pytest.mark.parametrize("argv, flag", NUMBER_FLAGS)
+def test_numeric_flags_refuse_what_the_config_refuses_as_usage_errors(argv, flag, raw, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, flag, raw)
+    assert exc.value.code == 1
+    assert f"argument {flag}: expected a number in ASCII digits" in capsys.readouterr().err
+
+
 def test_run_refuses_a_repeated_snr_naming_its_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -53,6 +53,12 @@ def test_alignment_non_numeric_error_names_line():
         parse_alignment("a 1 zero 0.5 ni\n")
 
 
+@pytest.mark.parametrize("start, duration", [("1_0", "0.5"), ("0", "0_5"), ("\u0661", "0.5")])
+def test_alignment_times_must_be_ascii_numbers_naming_the_line(start, duration):
+    with pytest.raises(AlignmentError, match="line 2: non-numeric time field"):
+        parse_alignment(f"u 1 0 0.1 sil\nu 1 {start} {duration} ni\n")
+
+
 def test_alignment_negative_start_rejected():
     with pytest.raises(AlignmentError, match="negative start"):
         parse_alignment("a 1 -0.1 0.5 ni\n")

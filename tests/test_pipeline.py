@@ -9,6 +9,7 @@ from unitcat.audio import save_wav, Waveform
 from unitcat.archive import read_archive, write_archive
 from unitcat.config import ConfigError, validate_config
 from unitcat.corpus import UtteranceRecord, load_manifest, save_manifest
+from unitcat.rng import derive_seed
 from unitcat.features import SpecAugmentParams
 from unitcat.scoring import parse_scores
 from unitcat.pipeline import (
@@ -18,7 +19,7 @@ from unitcat.pipeline import (
     parse_stages,
     run_pipeline,
 )
-from unitcat.tdnn import TdnnConfig, init_tdnn, save_params
+from unitcat.tdnn import TdnnConfig, init_tdnn, load_params, save_params
 from unitcat.toydata import default_speaker_specs, make_toy_corpus
 
 
@@ -469,6 +470,45 @@ def test_extract_runs_forward_on_float32_weights(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "forward", forward)
     extract_embeddings(tmp_path / "params.bin", tmp_path / "feats", tmp_path / "emb")
     assert dtypes and set(dtypes) == {np.dtype(np.float32)}
+
+
+def test_training_runs_in_float32_and_saves_the_weights_it_trained(tmp_path, monkeypatch):
+    rng = np.random.default_rng(10)
+    records = [("a1", "spkA"), ("a2", "spkA"), ("b1", "spkB"), ("b2", "spkB")]
+    write_archive(
+        tmp_path / "feats",
+        [(utt, rng.standard_normal((40, 40)).astype(np.float32)) for utt, _ in records],
+    )
+    save_manifest(
+        tmp_path / "manifest.tsv",
+        [UtteranceRecord(utt, spk, ("ni",), f"{utt}.wav") for utt, spk in records],
+    )
+    steps = []
+    real_step = pipeline.train_step
+
+    def step(params, batch, lr, aam, work=None):
+        trained, loss = real_step(params, batch, lr, aam, work)
+        steps.append((params, work, trained))
+        return trained, loss
+
+    monkeypatch.setattr(pipeline, "train_step", step)
+    pipeline.train_model(
+        tmp_path / "feats", [tmp_path / "manifest.tsv"], tmp_path / "params.bin", 3, 0.05, 7
+    )
+    # the float64 draw, rounded once
+    drawn = init_tdnn(TdnnConfig(num_classes=2), derive_seed(7, "init"))
+    for name, t in drawn.tensors.items():
+        assert np.array_equal(steps[0][0].tensors[name], t.astype(np.float32)), name
+    work = steps[0][1]
+    assert all(w is work for _, w, _ in steps)
+    assert work.buffers and all(buf.dtype == np.float32 for buf in work.buffers)
+    trained = steps[-1][2]
+    narrow = load_params(tmp_path / "params.bin", np.float32)
+    wide = load_params(tmp_path / "params.bin")
+    for name, t in trained.tensors.items():
+        assert t.dtype == np.float32, name
+        assert np.array_equal(narrow.tensors[name], t), name
+        assert np.array_equal(wide.tensors[name], t.astype(np.float64)), name
 
 
 def test_float32_extract_scores_a_trained_toy_as_float64_does(tmp_path, monkeypatch):

@@ -716,18 +716,46 @@ def test_params_header_refusals(tmp_path, header, fragment):
         load_params(path)
 
 
-def test_training_refuses_float32_params():
+def test_training_refuses_float16_params():
     params = init_tdnn(TdnnConfig(num_classes=2), seed=53)
-    params32 = tdnn.TdnnParams(
-        params.config, {name: t.astype(np.float32) for name, t in params.tensors.items()}
-    )
     batch = _toy_batch()
-    with pytest.raises(ValueError, match="float64"):
-        loss_and_grads(params32, batch, AamParams())
-    with pytest.raises(ValueError, match="float64"):
-        train_step(params32, batch, lr=0.1, aam=AamParams())
-    with pytest.raises(ValueError, match="float64"):
-        forward_activations(params32, _feats(20))
+    with pytest.raises(ValueError, match="got float16"):
+        loss_and_grads(params.astype(np.float16), batch, AamParams())
+    with pytest.raises(ValueError, match="got float16"):
+        train_step(params.astype(np.float16), batch, lr=0.1, aam=AamParams())
+    with pytest.raises(ValueError, match="float64 params only, got float32"):
+        forward_activations(params.astype(np.float32), _feats(20))
+    with pytest.raises(ValueError, match="float64 Workspace cannot hold a float32 pass"):
+        loss_and_grads(params.astype(np.float32), batch, AamParams(), Workspace())
+
+
+def test_float32_gradients_agree_with_float64_from_one_rounded_start():
+    narrow = init_tdnn(TdnnConfig(num_classes=3), seed=56).astype(np.float32)
+    wide = narrow.astype(np.float64)
+    lengths = (MIN_FRAMES, 40, 85, CHUNK_FRAMES + 20, 60)
+    batch = [(_feats(t, seed=900 + i).astype(np.float32), i % 3) for i, t in enumerate(lengths)]
+    work = Workspace(np.float32)
+    loss32, grads32 = loss_and_grads(narrow, batch, AamParams(), work)
+    loss64, grads64 = loss_and_grads(wide, batch, AamParams())
+    assert work.buffers and all(buf.dtype == np.float32 for buf in work.buffers)
+    assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+    for name, want in grads64.items():
+        assert grads32[name].dtype == np.float32, name
+        assert np.max(np.abs(grads32[name] - want)) <= 1e-5 * np.max(np.abs(want)), name
+
+
+def test_float32_training_tracks_float64_over_thirty_steps():
+    batch = [(feats.astype(np.float32), c) for feats, c in _toy_batch(classes=3, t=40)]
+    narrow = init_tdnn(TdnnConfig(num_classes=3), seed=57).astype(np.float32)
+    wide = narrow.astype(np.float64)
+    aam = AamParams()
+    work = Workspace(np.float32)
+    for _ in range(30):
+        narrow, loss32 = train_step(narrow, batch, 0.01, aam, work)
+        wide, loss64 = train_step(wide, batch, 0.01, aam)
+        assert abs(loss32 - loss64) <= 1e-3 * abs(loss64)
+    assert narrow.dtype == np.float32
+    assert loss64 < 0.01
 
 
 def test_load_params_converts_each_tensor_to_the_asked_dtype(tmp_path):

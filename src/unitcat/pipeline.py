@@ -182,7 +182,7 @@ def segment_corpus(
     by_speaker: dict[str, list] = {}
     for rec, wav in _records_with_audio(audio_root, manifest):
         if rec.utterance_id not in alignments:
-            raise PipelineError(f"no alignment entries for utterance {rec.utterance_id!r}")
+            raise ValueError(f"no alignment entries for utterance {rec.utterance_id!r}")
         segs = extract_segments(
             wav, alignments[rec.utterance_id], rec.speaker_id, silence_labels
         )
@@ -349,7 +349,7 @@ def train_model(
     }
     missing = [u for u in archive if u not in speaker_of]
     if missing:
-        raise PipelineError(f"feature ids missing from the manifests: {', '.join(missing[:5])}")
+        raise ValueError(f"feature ids missing from the manifests: {', '.join(missing[:5])}")
     speakers = sorted({speaker_of[u] for u in archive})
     if len(speakers) < 2:
         raise PipelineError(f"training needs at least 2 speakers, found {len(speakers)}")

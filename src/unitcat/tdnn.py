@@ -578,92 +578,67 @@ def average_embeddings(embeddings: list[np.ndarray]) -> np.ndarray:
 #
 # Text header:  TDNNPARAMS <version> <num_classes> <feature dim> <tensor count>
 # where the feature dim is always NUM_FILTERS (40), then one "name rows cols"
-# line per tensor, a blank line, and the tensors' row-major little-endian
-# float64 payloads in header order.
+# line per tensor in init_tdnn's order, a bias as one row, a blank line, and
+# the tensors' row-major little-endian float64 payloads in that order.
+
+
+def _header(cfg: TdnnConfig) -> list[str]:
+    """The header lines save_params writes for cfg, without the blank line;
+    the class count fixes every one of them."""
+    shapes = _tensor_shapes(cfg)
+    magic = f"{PARAMS_MAGIC} {PARAMS_VERSION} {cfg.num_classes} {NUM_FILTERS} {len(shapes)}"
+    # (1, *shape)[-2] is a matrix's row count and a bias's one row
+    return [magic] + [f"{name} {(1, *shape)[-2]} {shape[-1]}" for name, shape in shapes.items()]
 
 
 def save_params(path: str | Path, params: TdnnParams) -> None:
-    arrays = {
-        name: np.ascontiguousarray(np.atleast_2d(np.asarray(t, dtype="<f8")))
-        for name, t in params.tensors.items()
-    }
-    header = [
-        f"{PARAMS_MAGIC} {PARAMS_VERSION} {params.config.num_classes} "
-        f"{NUM_FILTERS} {len(arrays)}"
-    ]
-    header += [f"{name} {arr.shape[0]} {arr.shape[1]}" for name, arr in arrays.items()]
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "wb") as fh:
-        fh.write(("\n".join(header) + "\n\n").encode("utf-8"))
-        for arr in arrays.values():
-            fh.write(arr)
+    """Write _header(params.config), then the tensors in its order; tensors
+    whose names or shapes differ from init_tdnn's are refused, writing nothing."""
+    shapes = _tensor_shapes(params.config)
+    differ = dict(shapes.items() ^ {n: np.shape(t) for n, t in params.tensors.items()}.items())
+    if differ:
+        raise ValueError(
+            f"{path}: tensors {', '.join(sorted(differ))} differ from the shapes "
+            f"init_tdnn builds for {params.config.num_classes} classes"
+        )
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(_header(params.config)) + "\n\n").encode("utf-8"))
+        for name in shapes:
+            fh.write(np.ascontiguousarray(params.tensors[name], dtype="<f8"))
 
 
 def load_params(path: str | Path, dtype: np.dtype | type = np.float64) -> TdnnParams:
     """Each tensor is read from the file into its own float64 array and
     converted to dtype as it is read (extract loads float32 weights).
 
-    A malformed header line is refused naming the file and the line, and
-    so is a header whose feature dim is not NUM_FILTERS, and a tensor
-    whose name or shape differs from what init_tdnn builds for the
-    header's class count."""
+    The class count on line 1 fixes the header: any header other than the
+    one save_params writes for it is refused at its first differing line,
+    naming the file, the line number, the line read and the line expected."""
     with open(path, "rb") as fh:
         lines = []
         while (line := fh.readline()) != b"\n":
             if not line:
                 raise ValueError(f"{path}: missing parameter header")
-            lines.append(line.decode("utf-8").rstrip("\n"))
-        cfg, shapes = _parse_header(path, lines)
+            lines.append(line.decode("utf-8", "replace").rstrip("\n"))
+        magic = lines[0].split() if lines else []
+        if magic[:1] != [PARAMS_MAGIC]:
+            raise ValueError(f"{path}: not a parameter file")
+        try:
+            cfg = TdnnConfig(int(magic[2]))
+        except (IndexError, ValueError):
+            raise ValueError(
+                f"{path}: header line 1 {lines[0]!r}: expected a class count >= 1"
+            ) from None
+        # past the shorter list, the line read or expected is the blank one
+        pairs = itertools.zip_longest(lines, _header(cfg), fillvalue="")
+        for lineno, (read, expected) in enumerate(pairs, start=1):
+            if read != expected:
+                raise ValueError(f"{path}: header line {lineno} {read!r}: expected {expected!r}")
         tensors: dict[str, np.ndarray] = {}
-        for name, shape in shapes.items():
+        for name, shape in _tensor_shapes(cfg).items():
             arr = np.empty(shape, dtype="<f8")
             if fh.readinto(arr) != arr.nbytes:
                 raise ValueError(f"{path}: truncated payload for tensor {name}")
             tensors[name] = arr.astype(dtype, copy=False)
     return TdnnParams(cfg, tensors)
-
-
-def _parse_header(
-    path: str | Path, lines: list[str]
-) -> tuple[TdnnConfig, dict[str, tuple[int, ...]]]:
-    """The config and each tensor's shape, in file order, from the header
-    lines; biases get their 1-D shape."""
-
-    def refuse(lineno: int, why: str):
-        return ValueError(f"{path}: header line {lineno} {lines[lineno - 1]!r}: {why}")
-
-    magic = lines[0].split() if lines else []
-    if len(magic) != 5 or magic[0] != PARAMS_MAGIC:
-        raise ValueError(f"{path}: not a parameter file")
-    if not all(f.isascii() and f.isdigit() for f in magic[1:]):
-        raise refuse(1, "version, classes, feature dim and tensor count must be integers >= 0")
-    version, num_classes, feat_dim, count = map(int, magic[1:])
-    if version != PARAMS_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    if num_classes < 1 or feat_dim != NUM_FILTERS:
-        raise refuse(1, f"classes must be >= 1 and the feature dim {NUM_FILTERS}")
-    if len(lines) - 1 != count:
-        raise ValueError(f"{path}: header declares {count} tensors, lists {len(lines) - 1}")
-    cfg = TdnnConfig(num_classes)
-    want = _tensor_shapes(cfg)
-    shapes: dict[str, tuple[int, ...]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields[1:]):
-            raise refuse(lineno, "expected 'name rows cols', rows and cols integers >= 0")
-        name, rows, cols = fields[0], int(fields[1]), int(fields[2])
-        if name not in want or name in shapes:
-            raise refuse(lineno, f"unexpected or repeated tensor {name}")
-        # save_params writes a bias as one row
-        need = want[name] if len(want[name]) == 2 else (1, *want[name])
-        if (rows, cols) != need:
-            raise refuse(
-                lineno,
-                f"tensor {name} must be {need[0]} {need[1]} for {num_classes} classes",
-            )
-        shapes[name] = want[name]
-    missing = [name for name in want if name not in shapes]
-    if missing:
-        raise ValueError(f"{path}: header lists no tensor {', '.join(missing)}")
-    return cfg, shapes

@@ -569,6 +569,60 @@ def test_synth_with_empty_noise_dir_exits_3(cli_workspace, tmp_path, capsys):
     assert "no .wav files under noise_dir" in capsys.readouterr().err
 
 
+def test_run_with_empty_rir_dir_exits_3_before_augmenting(cli_workspace, tmp_path, capsys):
+    _, corpus, _, _, _ = cli_workspace
+    empty = tmp_path / "rirs"
+    empty.mkdir()
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"[paths]\ncorpus_dir = {corpus}\nout_dir = {out}\nrir_dir = {empty}\n"
+        "[synthesis]\ntranscript = ni hao mi ya\nseed = 7\n"
+    )
+    assert run_cli("run", "--config", str(cfg), "--stages", "segment,synth,augment") == 3
+    assert f"no .wav files under rir_dir {empty}" in capsys.readouterr().err
+    assert not (out / "augmented" / "manifest.tsv").exists()
+
+
+def test_segment_refuses_an_utterance_without_alignment_entries_exit_2(
+    cli_workspace, tmp_path, capsys
+):
+    _, corpus, _, _, _ = cli_workspace
+    utt = (corpus / "manifest.tsv").read_text().split("\t", 1)[0]
+    ali = tmp_path / "ali.ctm"
+    ali.write_text("".join(
+        line for line in (corpus / "ali.ctm").read_text().splitlines(keepends=True)
+        if line.split()[0] != utt
+    ))
+    out = tmp_path / "libs"
+    code = run_cli(
+        "segment", "--manifest", str(corpus / "manifest.tsv"), "--ali", str(ali),
+        "--units", "ni hao mi ya", "--out", str(out),
+    )
+    assert code == 2
+    assert f"no alignment entries for utterance {utt!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_toy_refuses_feature_ids_missing_from_the_manifest_exit_2(
+    cli_workspace, tmp_path, capsys
+):
+    _, _, _, synth, feats = cli_workspace
+    first, *rest = (synth / "manifest.tsv").read_text().splitlines(keepends=True)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(rest))
+    params = tmp_path / "params.bin"
+    code = run_cli(
+        "train-toy", "--features", str(feats), "--manifest", str(manifest),
+        "--out", str(params), "--steps", "1",
+    )
+    assert code == 2
+    assert f"feature ids missing from the manifests: {first.split()[0]}" in (
+        capsys.readouterr().err
+    )
+    assert not params.exists()
+
+
 def test_featurize_specaug_refuses_an_archive_named_train(cli_workspace, tmp_path, capsys):
     _, _, _, synth, _ = cli_workspace
     code = run_cli(

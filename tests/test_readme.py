@@ -1,10 +1,15 @@
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
 
+from unitcat.archive import write_archive
 from unitcat.audio import Waveform, save_wav
+from unitcat.cli import main
 from unitcat.config import validate_config
+from unitcat.kws import save_labels
 from unitcat.pipeline import run_pipeline
 from unitcat.toydata import default_speaker_specs, make_toy_corpus
 
@@ -77,3 +82,42 @@ def test_toy_run_writes_every_file_the_readme_artifacts_table_lists(tmp_path):
             if not any(m.is_dir() and list(m.glob(name)) for m in matches):
                 missing.append(f"{written} {name}")
     assert missing == []
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """argv of each `unitcat` command in the README's standalone sh block,
+    continuation lines joined and comments dropped."""
+    readme = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    (block,) = [b for b in blocks if "unitcat segment" in b]
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    assert all(argv[0] == "unitcat" for argv in argvs if argv)
+    return [argv[1:] for argv in argvs if argv]
+
+
+def test_readme_standalone_commands_run_on_a_toy_corpus(tmp_path, monkeypatch, capsys):
+    # the block's file names, made from a toy corpus in the working directory
+    corpus = make_toy_corpus(tmp_path, default_speaker_specs(2))
+    shutil.copy(corpus.manifest_path, tmp_path / "m.tsv")
+    shutil.copy(corpus.alignment_path, tmp_path / "a.ctm")
+    rng = np.random.default_rng(3)
+    save_wav(tmp_path / "noise" / "babble.wav",
+             Waveform(rng.integers(-1500, 1500, size=6000, dtype=np.int16), 16000))
+    save_labels(tmp_path / "labels.txt", ("sil", "ni", "hao"))
+    for base, peak in (("pos_posteriors", 0.9), ("neg_posteriors", 0.1)):
+        streams = []
+        for i in range(3):
+            probs = np.full((120, 3), 0.05)
+            probs[40 + i, 1] = probs[70 + i, 2] = peak
+            probs[:, 0] = 1.0 - probs[:, 1:].sum(axis=1)
+            streams.append((f"{base[0]}{i}", probs.astype(np.float32)))
+        write_archive(tmp_path / base, streams)
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_lines()
+    assert [argv[0] for argv in commands] == [
+        "segment", "synth", "featurize", "train-toy", "extract", "score", "eval", "plot-roc",
+        "kws-eval",
+    ]
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

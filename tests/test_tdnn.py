@@ -703,17 +703,38 @@ def test_params_file_error_gates(tmp_path):
 @pytest.mark.parametrize(
     "header, fragment",
     [
-        (b"TDNNPARAMS 2 2 40 0\n\n", "unsupported version 2"),
-        (b"TDNNPARAMS 1 2 40 2\nw 1 1\n\n", "header declares 2 tensors, lists 1"),
-        (b"TDNNPARAMS 1 2 39 13\n\n", "header line 1 .*feature dim 40"),
-        (b"TDNNPARAMS 1 2 80 13\n\n", "header line 1 .*feature dim 40"),
+        (b"TDNNPARAMS 2 2 40 0\n\n", "header line 1 .*expected 'TDNNPARAMS 1 2 40 13'"),
+        (b"TDNNPARAMS 1 2 40 2\nw 1 1\n\n", "header line 1 .*expected 'TDNNPARAMS 1 2 40 13'"),
+        (b"TDNNPARAMS 1 2 39 13\n\n", "header line 1 .*expected 'TDNNPARAMS 1 2 40 13'"),
+        (b"TDNNPARAMS 1 2 80 13\n\n", "header line 1 .*expected 'TDNNPARAMS 1 2 40 13'"),
+        (b"TDNNPARAMS 1 2 40 13\n\xff\n\n", "header line 2 '\ufffd': expected 'frame1.W 256 200'"),
     ],
+    ids=["version-2", "count-2-listing-1", "feature-dim-39", "feature-dim-80", "not-utf8"],
 )
 def test_params_header_refusals(tmp_path, header, fragment):
     path = tmp_path / "params.bin"
     path.write_bytes(header)
     with pytest.raises(ValueError, match=fragment):
         load_params(path)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda t: t.pop("frame2.b"), "frame2.b"),
+        (lambda t: t.update({"segment6.W": t["segment6.W"][:, :-1]}), "segment6.W"),
+        (lambda t: t.update({"projection.W": np.ones((EMBED_DIM, 3))}), "projection.W"),
+        (lambda t: t.update({"frame0.W": np.ones((1, 1))}), "frame0.W"),
+    ],
+    ids=["missing", "misshaped", "other-class-count", "unknown"],
+)
+def test_save_params_refuses_other_tensors_writing_nothing(tmp_path, edit, named):
+    params = init_tdnn(TdnnConfig(num_classes=2), seed=58)
+    edit(params.tensors)
+    path = tmp_path / "model" / "params.bin"
+    with pytest.raises(ValueError, match=f"tensors {named} differ .* for 2 classes"):
+        save_params(path, params)
+    assert not path.parent.exists()
 
 
 def test_training_refuses_float16_params():
@@ -790,12 +811,27 @@ def _replace(old, new):
         (_replace("TDNNPARAMS 1 2 40 13", "TDNNPARAMS 1 0 40 13"), "header line 1"),
         (_replace("frame1.W 256 200", "frame1.W 256"), "header line 2"),
         (_replace("frame1.W 256 200", "frame1.W -256 200"), "header line 2"),
-        (lambda lines: ["TDNNPARAMS 1 2 40 0"], "lists no tensor frame1.W"),
-        (_replace("frame1.W 256 200", "frame1.W 256 199"), "tensor frame1.W must be 256 200"),
-        (_replace("frame1.b 1 256", "frame1.b 256 1"), "tensor frame1.b must be 1 256"),
+        (lambda lines: ["TDNNPARAMS 1 2 40 0"], "header line 1 .*expected 'TDNNPARAMS 1 2 40 13'"),
+        (
+            _replace("frame1.W 256 200", "frame1.W 256 199"),
+            "header line 2 'frame1.W 256 199': expected 'frame1.W 256 200'",
+        ),
+        (
+            _replace("frame1.b 1 256", "frame1.b 256 1"),
+            "header line 3 'frame1.b 256 1': expected 'frame1.b 1 256'",
+        ),
         (_replace("TDNNPARAMS 1 2 40 13", "TDNNPARAMS 1 2 39 13"), "header line 1"),
-        (_replace("frame1.W 256 200", "frame0.W 256 200"), "tensor frame0.W"),
-        (_replace("frame2.b 1 256", "frame1.b 1 256"), "repeated tensor frame1.b"),
+        (
+            _replace("frame1.W 256 200", "frame0.W 256 200"),
+            "header line 2 'frame0.W 256 200': expected 'frame1.W 256 200'",
+        ),
+        (
+            _replace("frame2.b 1 256", "frame1.b 1 256"),
+            "header line 5 'frame1.b 1 256': expected 'frame2.b 1 256'",
+        ),
+        (lambda lines: lines[:-1], "header line 14 '': expected 'projection.W 256 2'"),
+        (lambda lines: lines + ["extra 1 1"], "header line 15 'extra 1 1': expected ''"),
+        (_replace("frame1.b 1 256", "frame1.b 1 256 "), "header line 3 'frame1.b 1 256 '"),
     ],
     ids=[
         "non-integer-version",
@@ -808,6 +844,9 @@ def _replace(old, new):
         "feat-dim-differs-from-shapes",
         "unknown-name",
         "repeated-name",
+        "last-tensor-missing",
+        "extra-tensor-line",
+        "trailing-space",
     ],
 )
 def test_load_params_refuses_a_malformed_header_naming_file_and_line(tmp_path, edit, fragment):

@@ -226,6 +226,14 @@ def synthesize_libraries(
     return lines
 
 
+def _augments(
+    noise_dir: str | Path | None, snr_list: tuple[float, ...], rir_dir: str | Path | None
+) -> bool:
+    """Whether augment_audio writes copies: noise with at least one SNR,
+    or reverb."""
+    return bool(noise_dir and snr_list) or bool(rir_dir)
+
+
 def augment_audio(
     manifest_path: Path,
     audio_root: Path,
@@ -237,7 +245,7 @@ def augment_audio(
 ) -> list[str]:
     """Noisy copies (noise_dir with at least one SNR) and reverberant
     copies (rir_dir) of a manifest's utterances, written to out_dir."""
-    if not (noise_dir and snr_list) and not rir_dir:
+    if not _augments(noise_dir, snr_list, rir_dir):
         return ["nothing configured, skipped"]
     records = load_manifest(_require(manifest_path, "synthesized manifest"))
     noise_paths = sorted(Path(noise_dir).glob("*.wav")) if noise_dir else []
@@ -477,24 +485,27 @@ def _stage_augment(cfg: PipelineConfig, out: Path) -> list[str]:
     )
 
 
-def _corpus_sources(out: Path) -> list[tuple[Path, Path]]:
-    """(manifest, audio root) of the synthesized corpus and, when augment
-    wrote one, of the augmented copies."""
-    dirs = [out / "synth"]
-    if (out / "augmented" / "manifest.tsv").exists():
-        dirs.append(out / "augmented")
-    return [(d / "manifest.tsv", d) for d in dirs]
+def _corpus_sources(cfg: PipelineConfig, out: Path) -> list[tuple[Path, Path]]:
+    """(manifest, audio root) of the synthesized corpus and, when this
+    config augments, of the augmented copies, whose manifest must exist.
+    Copies that another config's run left are never read."""
+    sources = [(out / "synth" / "manifest.tsv", out / "synth")]
+    if _augments(cfg.noise_dir, cfg.snr_list, cfg.rir_dir):
+        augmented = out / "augmented"
+        sources.append((_require(augmented / "manifest.tsv", "augmented manifest"), augmented))
+    return sources
 
 
 def _stage_featurize(cfg: PipelineConfig, out: Path) -> list[str]:
     specaug = SpecAugmentParams() if cfg.spec_augment else None
+    sources = _corpus_sources(cfg, out)
     feats = _fresh(out / "features") / "features"
-    return featurize_corpus(_corpus_sources(out), feats, specaug, cfg.seed)
+    return featurize_corpus(sources, feats, specaug, cfg.seed)
 
 
 def _stage_train(cfg: PipelineConfig, out: Path) -> list[str]:
     feats = out / "features" / ("train" if cfg.spec_augment else "features")
-    manifests = [manifest for manifest, _ in _corpus_sources(out)]
+    manifests = [manifest for manifest, _ in _corpus_sources(cfg, out)]
     params = _fresh(out / "model") / "params.bin"
     return train_model(feats, manifests, params, cfg.train_steps, cfg.learn_rate, cfg.seed)
 

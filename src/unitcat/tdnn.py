@@ -19,7 +19,11 @@ two utterances, and an utterance of T frames gives T - MIN_FRAMES + 1
 frame5 rows. ``forward`` takes one (T, NUM_FILTERS) matrix or a list of
 them, arrays or array-likes such as archive records, and reads each one
 only when its chunk is stacked; its forward-only pass keeps two layer
-buffers besides the stream, not every layer's activations.
+buffers besides the stream, one for spliced inputs and one for layer
+outputs, not every layer's activations. A training pass keeps the stream
+and every layer's output for its backward pass, but no spliced input: one
+splice buffer takes each in turn and is refilled in the backward pass
+just before that layer's weight-gradient GEMM.
 """
 
 from __future__ import annotations
@@ -48,10 +52,12 @@ STATS_DIM = 2 * FRAME_LAYERS[-1][2]
 # total splice context: frames needed to produce one pooled frame
 MIN_FRAMES = 1 + sum(max(offs) - min(offs) for _, offs, _ in FRAME_LAYERS)
 VARIANCE_FLOOR = 1e-10
-# frames per stacked pass of loss_and_grads and forward: enough rows for
-# the GEMMs to run near the BLAS rate, few enough that a training pass's
-# buffers stay ~11 MB
-CHUNK_FRAMES = 384
+# frames per stacked pass of loss_and_grads and forward. On a 2-CPU VM,
+# float32 frame2 GEMMs, (rows x 768)(768 x 256), ran at ~223 GFLOP/s with
+# 768 rows against ~192 with the ~340 rows that 384 frames gave. A stacked
+# frame holds ~2,600 floats in a training pass (~8 MB of float32 buffers
+# at this size) and ~1,320 in forward.
+CHUNK_FRAMES = 768
 
 PARAMS_MAGIC = "TDNNPARAMS"
 PARAMS_VERSION = 1
@@ -184,37 +190,47 @@ def _head(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
+def _splice_utterances(
+    x: np.ndarray, lengths: list[int], offsets: tuple[int, ...], alloc
+) -> np.ndarray:
+    """The splice of each stacked utterance of x (lengths[i] rows of
+    utterance i), back to back in alloc(shape), so no row's context window
+    straddles two utterances."""
+    ctx = max(offsets) - min(offsets)
+    spliced = alloc((len(x) - ctx * len(lengths), len(offsets) * x.shape[1]))
+    src = dst = 0
+    for t in lengths:
+        splice(x[src : src + t], offsets, out=spliced[dst : dst + t - ctx])
+        src += t
+        dst += t - ctx
+    return spliced
+
+
 def _frame_layers(
     params: TdnnParams,
     x: np.ndarray,
     lengths: list[int],
     alloc,
     acts: dict[str, np.ndarray] | None = None,
+    splice_alloc=None,
 ) -> np.ndarray:
     """Frame layers over the stream x, which stacks utterances of the
     given frame counts, one GEMM per layer; returns frame5's output.
 
     A spliced layer splices each utterance's valid rows into a compact
-    matrix, so no row's context window straddles two utterances.
-    alloc(shape) supplies each layer's spliced input and then its output;
-    acts, when given, keeps them as '<layer>.spliced' and '<layer>.out'.
+    matrix (_splice_utterances) from splice_alloc(shape), or from alloc
+    when none is given. alloc(shape) supplies each layer's output; acts,
+    when given, keeps them as '<layer>.out'.
     """
     for name, offsets, out_dim in FRAME_LAYERS:
         spliced = x
         if len(offsets) > 1:
-            ctx = max(offsets) - min(offsets)
-            spliced = alloc((len(x) - ctx * len(lengths), len(offsets) * x.shape[1]))
-            src = dst = 0
-            for t in lengths:
-                splice(x[src : src + t], offsets, out=spliced[dst : dst + t - ctx])
-                src += t
-                dst += t - ctx
-            lengths = [t - ctx for t in lengths]
+            spliced = _splice_utterances(x, lengths, offsets, splice_alloc or alloc)
+            lengths = [t - (max(offsets) - min(offsets)) for t in lengths]
         x = np.matmul(spliced, params.tensors[f"{name}.W"].T, out=alloc((len(spliced), out_dim)))
         x += params.tensors[f"{name}.b"]
         np.maximum(x, 0.0, out=x)
         if acts is not None:
-            acts[f"{name}.spliced"] = spliced
             acts[f"{name}.out"] = x
     return x
 
@@ -245,10 +261,10 @@ def _pool(
 
 
 def forward_activations(params: TdnnParams, feats: np.ndarray) -> dict[str, np.ndarray]:
-    """Forward pass over one utterance keeping each frame layer's spliced
-    input and output, the pooled statistics, the embedding and the
-    cosines. float64 params only: it serves the finite-difference checks
-    of loss_and_grads, which run in float64."""
+    """Forward pass over one utterance keeping each frame layer's output,
+    the pooled statistics, the embedding and the cosines. float64 params
+    only: it serves the finite-difference checks of loss_and_grads, which
+    run in float64."""
     _compute_dtype(params, "forward_activations", (np.float64,))
     _check_feats(feats)
     feats = np.asarray(feats, dtype=np.float64)
@@ -280,7 +296,10 @@ def forward(
     at a time. Each frame layer reads only the layer before it, so the
     call takes just three buffers from its own Workspace, sized for its
     largest chunk: the stream and two that the layers of every chunk use
-    in turn. The returned arrays never alias them.
+    in turn. The first takes the spliced inputs, frame4's output and the
+    pooling's centered rows; the second takes the other layers' outputs,
+    so it is only as wide as the widest output. The returned arrays never
+    alias them.
     """
     batched = isinstance(feats, (list, tuple))
     utts = feats if batched else [feats]
@@ -289,8 +308,9 @@ def forward(
     work = Workspace(_compute_dtype(params, "forward"))
     frames = max((sum(lengths[i] for i in chunk) for chunk in chunks), default=0)
     widest = max(max(i, o) for _, i, o in layer_dims())
+    widest_out = max(o for _, _, o in layer_dims())
     stream_buf = work((frames * NUM_FILTERS,))
-    bufs = (work((frames * widest,)), work((frames * widest,)))
+    bufs = (work((frames * widest,)), work((frames * widest_out,)))
     embeddings = np.empty((len(utts), EMBED_DIM), work.dtype)
     for chunk in chunks:
         chunk_lengths = lengths[chunk.start : chunk.stop]
@@ -443,22 +463,23 @@ def loss_and_grads(
 def _unsplice(
     d_spliced: np.ndarray, lengths: list[int], offsets: tuple[int, ...], buf: np.ndarray
 ) -> np.ndarray:
-    """Gradient of a spliced layer's stacked input, in the head of buf, from
-    the gradient of its spliced copy, whose rows hold lengths[i] rows of
-    utterance i: each row's blocks add back onto the frames they copied."""
+    """Gradient of a spliced layer's stacked input, which holds lengths[i]
+    rows of utterance i, in the head of buf, from the gradient of its
+    spliced copy: each row's blocks add back onto the frames they copied."""
     ctx = max(offsets) - min(offsets)
     lo = -min(offsets)
     width = d_spliced.shape[1] // len(offsets)
-    d_x = _head(buf, (len(d_spliced) + ctx * len(lengths), width))
+    d_x = _head(buf, (sum(lengths), width))
     d_x.fill(0.0)
     src = dst = 0
-    for n in lengths:
+    for t in lengths:
+        n = t - ctx
         for j, off in enumerate(offsets):
             d_x[dst + lo + off : dst + lo + off + n] += d_spliced[
                 src : src + n, j * width : (j + 1) * width
             ]
         src += n
-        dst += n + ctx
+        dst += t
     return d_x
 
 
@@ -469,23 +490,43 @@ def _add_chunk_grads(
     grads: dict[str, np.ndarray],
     alloc: Workspace,
 ) -> float:
-    """Add one chunk's gradients into grads; returns its summed loss."""
+    """Add one chunk's gradients into grads; returns its summed loss.
+
+    The chunk keeps the stream and every layer's output, but no layer's
+    spliced input: one splice buffer takes each spliced input in the
+    forward pass, then dL/dh, and is refilled with each spliced layer's
+    input just before its weight-gradient GEMM."""
     lengths = [len(feats) for feats, _ in utts]
     stream = np.concatenate(
         [feats for feats, _ in utts], out=alloc((sum(lengths), NUM_FILTERS))
     )
+    # takes every spliced input and dL/dh: none has more rows than frame1
+    # or more columns than the widest layer
+    ctx1 = max(FRAME_LAYERS[0][1]) - min(FRAME_LAYERS[0][1])
+    widest = max(max(i, o) for _, i, o in layer_dims())
+    splice_buf = alloc(((len(stream) - ctx1 * len(lengths)) * widest,))
+
+    def into_splice_buf(shape):
+        return _head(splice_buf, shape)
+
     acts: dict[str, np.ndarray] = {}
-    h = _frame_layers(params, stream, lengths, alloc, acts)
+    h = _frame_layers(params, stream, lengths, alloc, acts, into_splice_buf)
+    outs = [acts[f"{name}.out"] for name, _, _ in FRAME_LAYERS]
     spans = _pooled_spans(lengths)
-    # holds dL/dh, then the input gradient of each spliced layer; no layer
-    # output is larger
-    grad_buf = alloc((max(acts[f"{name}.out"].size for name, _, _ in FRAME_LAYERS),))
+    # holds each spliced layer's input gradient, the size of the output
+    # before it; frame1's input, the stream, takes none
+    grad_buf = alloc((max(
+        out.size for out, (_, offsets, _) in zip(outs, FRAME_LAYERS[1:]) if len(offsets) > 1
+    ),))
     # h minus its utterance's mean, later dL/dh
-    centered = _head(grad_buf, h.shape)
+    centered = into_splice_buf(h.shape)
     pooled, var = _pool(h, spans, centered)
     dim = h.shape[1]
     std = pooled[:, dim:]
 
+    # each weight gradient's GEMM writes here before it is added in
+    gemm_weights = [f"{name}.W" for name, _, _ in FRAME_LAYERS] + ["segment6.W"]
+    w_scratch = alloc((max(params.tensors[name].size for name in gemm_weights),))
     w6 = params.tensors["segment6.W"]
     embeddings = pooled @ w6.T + params.tensors["segment6.b"]
     grad_emb = np.empty_like(embeddings)
@@ -496,7 +537,7 @@ def _add_chunk_grads(
         )
         loss += loss_i
         grads["projection.W"] += grad_proj
-    grads["segment6.W"] += grad_emb.T @ pooled
+    grads["segment6.W"] += np.matmul(grad_emb.T, pooled, out=_head(w_scratch, w6.shape))
     grads["segment6.b"] += grad_emb.sum(axis=0)
     d_pooled = grad_emb @ w6
     # std is clamped at the floor; there the derivative vanishes
@@ -508,24 +549,30 @@ def _add_chunk_grads(
 
     d_x = centered
     lengths = [rows.stop - rows.start for rows in spans]
-    w_scratch = alloc((max(params.tensors[f"{n}.W"].size for n, _, _ in FRAME_LAYERS),))
     for depth in range(len(FRAME_LAYERS) - 1, -1, -1):
         name, offsets, _ = FRAME_LAYERS[depth]
         w = params.tensors[f"{name}.W"]
-        spliced, out = acts[f"{name}.spliced"], acts[f"{name}.out"]
-        d_x *= out > 0.0
-        grads[f"{name}.W"] += np.matmul(d_x.T, spliced, out=_head(w_scratch, w.shape))
+        out = outs[depth]
+        x = outs[depth - 1] if depth else stream
+        # out is spent once it gives its mask, so the mask overwrites it
+        # instead of taking a temporary
+        d_x *= np.greater(out, 0.0, out=out)
+        if len(offsets) > 1:
+            # dL/dh left the splice buffer at frame5, which is not
+            # spliced: refill it with this layer's spliced input
+            lengths = [n + max(offsets) - min(offsets) for n in lengths]
+            x = _splice_utterances(x, lengths, offsets, into_splice_buf)
+        grads[f"{name}.W"] += np.matmul(d_x.T, x, out=_head(w_scratch, w.shape))
         grads[f"{name}.b"] += d_x.sum(axis=0)
         if depth == 0:
             break  # the input features take no gradient
         if len(offsets) == 1:
-            # out is spent once its mask is applied; frame4 and frame5 are
-            # at least as wide as their inputs, so it takes their gradient
+            # frame4 and frame5 are at least as wide as their inputs, so
+            # out takes their gradient
             d_x = np.matmul(d_x, w, out=_head(out, (len(d_x), w.shape[1])))
             continue
-        # the spliced copy is spent; its buffer takes the spliced gradient
-        d_x = _unsplice(np.matmul(d_x, w, out=spliced), lengths, offsets, grad_buf)
-        lengths = [n + max(offsets) - min(offsets) for n in lengths]
+        # the spliced input is spent; its buffer takes the spliced gradient
+        d_x = _unsplice(np.matmul(d_x, w, out=x), lengths, offsets, grad_buf)
     return loss
 
 

@@ -584,6 +584,60 @@ def test_run_with_empty_rir_dir_exits_3_before_augmenting(cli_workspace, tmp_pat
     assert not (out / "augmented" / "manifest.tsv").exists()
 
 
+def _run_config(path, corpus, out, noise_dir=None):
+    """A run config over corpus; with noise_dir, one noisy copy per SNR 0 and 5."""
+    noise = f"noise_dir = {noise_dir}\n" if noise_dir else ""
+    path.write_text(
+        f"[paths]\ncorpus_dir = {corpus}\nout_dir = {out}\n{noise}"
+        "[synthesis]\ntranscript = ni hao mi\nseed = 7\n"
+        + ("[augment]\nsnr_list = 0, 5\n" if noise_dir else "")
+        + "[train]\nsteps = 1\n"
+    )
+    return str(path)
+
+
+def test_run_stages_without_noise_ignore_an_earlier_runs_noisy_copies(tmp_path, capsys):
+    from unitcat.audio import Waveform, save_wav
+
+    corpus = tmp_path / "corpus"
+    assert run_cli("make-toy", "--out", str(corpus)) == 0
+    rng = np.random.default_rng(5)
+    save_wav(
+        tmp_path / "noise" / "hum.wav",
+        Waveform(rng.integers(-1500, 1500, size=6000, dtype=np.int16), 16000),
+    )
+    out = tmp_path / "out"
+    noisy = _run_config(tmp_path / "noisy.cfg", corpus, out, tmp_path / "noise")
+    assert run_cli("run", "--config", noisy, "--stages", "segment,synth,augment") == 0
+    synthesized = len((out / "synth" / "manifest.tsv").read_text().splitlines())
+    copies = len((out / "augmented" / "manifest.tsv").read_text().splitlines())
+    assert copies == 2 * synthesized
+    capsys.readouterr()
+
+    clean = _run_config(tmp_path / "clean.cfg", corpus, out)
+    assert run_cli("run", "--config", clean, "--stages", "featurize,train") == 0
+    report = capsys.readouterr().out
+    # featurize and train each report the synthesized utterances alone
+    assert synthesized == 18
+    assert report.count("utterances: 18\n") == 2, report
+
+
+def test_run_stages_that_augment_refuse_a_missing_augmented_manifest_exit_3(
+    cli_workspace, tmp_path, capsys
+):
+    _, corpus, _, _, _ = cli_workspace
+    (tmp_path / "noise").mkdir()
+    out = tmp_path / "out"
+    noisy = _run_config(tmp_path / "noisy.cfg", corpus, out, tmp_path / "noise")
+    assert run_cli("run", "--config", noisy, "--stages", "segment,synth") == 0
+    capsys.readouterr()
+    for stages in ("featurize", "train"):
+        assert run_cli("run", "--config", noisy, "--stages", stages) == 3
+        err = capsys.readouterr().err
+        assert f"missing augmented manifest: {out / 'augmented' / 'manifest.tsv'}" in err
+    assert not (out / "features").exists()
+
+
 def test_segment_refuses_an_utterance_without_alignment_entries_exit_2(
     cli_workspace, tmp_path, capsys
 ):

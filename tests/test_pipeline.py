@@ -273,7 +273,7 @@ def test_run_writes_one_wav_per_library_and_per_augmented_utterance(augmented_ru
 
 
 def test_featurize_reads_each_audio_file_once(augmented_run, monkeypatch, tmp_path):
-    _, out = augmented_run
+    cfg, out = augmented_run
     loaded = []
     real_load_wav = pipeline.load_wav
 
@@ -282,7 +282,7 @@ def test_featurize_reads_each_audio_file_once(augmented_run, monkeypatch, tmp_pa
         return real_load_wav(path)
 
     monkeypatch.setattr(pipeline, "load_wav", counting_load_wav)
-    sources = pipeline._corpus_sources(out)
+    sources = pipeline._corpus_sources(cfg, out)
     lines = pipeline.featurize_corpus(sources, tmp_path / "features", None, 0)
     paths = [root / r.audio_path for manifest, root in sources for r in load_manifest(manifest)]
     assert lines[0] == f"utterances: {len(paths)}" == "utterances: 36"

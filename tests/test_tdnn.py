@@ -403,7 +403,8 @@ class _LoggedArrayLike:
 
 def test_batched_forward_converts_array_likes_one_chunk_at_a_time(monkeypatch):
     params = init_tdnn(TdnnConfig(num_classes=2), seed=64)
-    lengths = [200, 150, 100, 300, 90]  # chunks: utterances 0-1, 2, 3, 4
+    c = CHUNK_FRAMES
+    lengths = [c // 2, c // 2 - 10, c // 4, c - c // 8, c // 4]  # chunks: 0-1, 2, 3, 4
     feats = [_feats(t, seed=700 + t) for t in lengths]
     want = forward(params, feats)
     log = []
@@ -437,12 +438,13 @@ def test_batched_forward_workspace_holds_the_stream_and_two_layer_buffers(monkey
     monkeypatch.setattr(tdnn, "Workspace", recording_workspace)
     embeddings, cosines = forward(params, feats)
     widest = max(max(in_dim, out_dim) for _, in_dim, out_dim in layer_dims())
+    widest_out = max(out_dim for _, _, out_dim in layer_dims())
     frames = CHUNK_FRAMES + 10  # the largest chunk
     (work,) = works
-    sizes = [buf.size for buf in work.buffers]
-    assert len(sizes) == 3
-    assert sizes[0] == frames * NUM_FILTERS
-    assert max(sizes[1:]) <= frames * widest
+    # the second layer buffer holds layer outputs only
+    assert [buf.size for buf in work.buffers] == [
+        frames * NUM_FILTERS, frames * widest, frames * widest_out
+    ]
     for out in (embeddings, cosines):
         assert not any(np.shares_memory(out, b) for b in work.buffers)
 
@@ -614,21 +616,39 @@ def test_training_workspace_holds_activations_and_two_gradient_buffers():
     batch = [(_feats(t, seed=700 + t), i % 2) for i, t in enumerate(lengths)]
     work = Workspace()
     loss_and_grads(params, batch, AamParams(), work)
-    # the stream, each layer's spliced input and output over the rows that
-    # straddle no two utterances, one gradient buffer the size of the
-    # largest output and one weight-gradient scratch
-    want = [sum(lengths) * NUM_FILTERS]
-    rows = list(lengths)
-    outs = []
-    for (name, offsets, out_dim), (_, in_dim, _) in zip(tdnn.FRAME_LAYERS, layer_dims()):
-        rows = [t - (max(offsets) - min(offsets)) for t in rows]
-        if len(offsets) > 1:
-            want.append(sum(rows) * in_dim)
-        outs.append(sum(rows) * out_dim)
-        want.append(outs[-1])
-    want.append(max(outs))
-    want.append(max(params.tensors[f"{name}.W"].size for name, _, _ in tdnn.FRAME_LAYERS))
+    # the stream, one splice buffer of frame1's rows at the widest layer
+    # width, each layer's output over the rows that straddle no two
+    # utterances, one gradient buffer the size of frame1's output and one
+    # weight-gradient scratch the size of segment6.W, the largest it takes
+    rows, layer_rows = [], list(lengths)
+    for _, offsets, _ in tdnn.FRAME_LAYERS:
+        layer_rows = [t - (max(offsets) - min(offsets)) for t in layer_rows]
+        rows.append(layer_rows)
+    outs = [sum(r) * out_dim for r, (_, _, out_dim) in zip(rows, tdnn.FRAME_LAYERS)]
+    want = [sum(lengths) * NUM_FILTERS, sum(rows[0]) * 768, *outs, outs[0]]
+    want.append(params.tensors["segment6.W"].size)
     assert [buf.size for buf in work.buffers] == want
+
+
+def _training_workspace_floats(lengths):
+    """Floats of a one-chunk training pass's buffers, less the weight scratch."""
+    work = Workspace()
+    batch = [(_feats(t, seed=t), i % 2) for i, t in enumerate(lengths)]
+    loss_and_grads(init_tdnn(TdnnConfig(num_classes=2), seed=40), batch, AamParams(), work)
+    return sum(buf.size for buf in work.buffers[:-1])
+
+
+def test_training_workspace_holds_2600_floats_per_stacked_frame():
+    # the stream (40), the splice buffer (768), the layer outputs (4 * 256
+    # + 512) and the gradient buffer (256); a per-layer spliced copy would
+    # add its input width
+    lengths = [60, 45, 70]
+    more = [t + 20 for t in lengths]
+    per_frame = (_training_workspace_floats(more) - _training_workspace_floats(lengths)) / (
+        sum(more) - sum(lengths)
+    )
+    assert sum(more) <= CHUNK_FRAMES
+    assert per_frame == NUM_FILTERS + 768 + 4 * 256 + 512 + 256 == 2600
 
 
 # --- transfer and persistence ---------------------------------------------------

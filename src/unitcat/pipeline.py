@@ -175,10 +175,11 @@ def segment_corpus(
     silence_labels,
     libdir: Path,
 ) -> list[str]:
-    """Chunk every manifest utterance and persist one library per speaker;
-    returns per-speaker summary lines."""
+    """Chunk every manifest utterance, keeping the transcript's units only, and
+    persist one library per speaker; returns per-speaker summary lines."""
     manifest = load_manifest(_require(manifest_path, "corpus manifest"))
     alignments = group_alignments(load_alignment(_require(alignment_path, "alignment file")))
+    units = unique_units(transcript)
     by_speaker: dict[str, list] = {}
     for rec, wav in _records_with_audio(audio_root, manifest):
         if rec.utterance_id not in alignments:
@@ -186,9 +187,8 @@ def segment_corpus(
         segs = extract_segments(
             wav, alignments[rec.utterance_id], rec.speaker_id, silence_labels
         )
-        by_speaker.setdefault(rec.speaker_id, []).extend(segs)
+        by_speaker.setdefault(rec.speaker_id, []).extend(s for s in segs if s.unit in units)
 
-    units = unique_units(transcript)
     lines = []
     for speaker in sorted(by_speaker):
         segs = by_speaker[speaker]
@@ -215,8 +215,8 @@ def synthesize_libraries(
     speakers = list_library_speakers(_require(libdir, "unit library directory"))
     if not speakers:
         raise PipelineError(f"no unit libraries under {libdir}")
-    libs = [load_library(libdir / spk) for spk in speakers]
-    result = synthesize_corpus(libs, transcript, derive_seed(seed, "synth"), out_dir=out_dir)
+    libs = (load_library(libdir / spk) for spk in speakers)
+    result = synthesize_corpus(libs, transcript, derive_seed(seed, "synth"), out_dir)
     lines = [
         f"{spk}: {n} utterances" for spk, n in sorted(result.per_speaker_counts.items())
     ]

@@ -9,6 +9,7 @@ rendered audio lives here too.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,9 +46,10 @@ class SynthesisPlan:
 
 @dataclass
 class SynthesizedUtterance:
+    """A written utterance's record and plan; its audio is the WAV at record.audio_path."""
+
     record: UtteranceRecord
     plan: SynthesisPlan
-    waveform: Waveform
 
 
 @dataclass
@@ -111,18 +113,23 @@ def render(plan: SynthesisPlan, lib: UnitLibrary) -> Waveform:
 
 
 def synthesize_corpus(
-    libraries: list[UnitLibrary],
+    libraries: Iterable[UnitLibrary],
     transcript: tuple[str, ...],
     seed: int,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
 ) -> SynthesisReport:
-    """Render per covered speaker exactly max-unit-count utterances.
+    """Render per covered speaker exactly max-unit-count utterances into out_dir.
 
-    Speakers whose library misses any transcript unit are skipped and
-    reported. Output is deterministic for a fixed seed: per-utterance
-    seeds are derived from (seed, speaker, index), and utterances are
-    rendered and written in library order.
+    Speakers whose library misses any transcript unit are skipped and reported. Each
+    utterance's WAV is saved as soon as it is rendered. manifest.tsv, plans.tsv and
+    skips.tsv are removed first and written after the last WAV, so a failed call leaves
+    none of them. Output is deterministic for a fixed seed: utterance seeds derive from
+    (seed, speaker, index), and utterances are written in library order.
     """
+    out_dir = Path(out_dir)
+    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
+    for name in ("manifest.tsv", "plans.tsv", "skips.tsv"):
+        (out_dir / name).unlink(missing_ok=True)
     units = unique_units(transcript)
     skipped = []
     counts: dict[str, int] = {}
@@ -142,19 +149,15 @@ def synthesize_corpus(
                 transcript=tuple(transcript),
                 audio_path=f"wav/{utt_id}.wav",
             )
-            utterances.append(SynthesizedUtterance(record, plan, render(plan, lib)))
+            save_wav(out_dir / record.audio_path, render(plan, lib))
+            utterances.append(SynthesizedUtterance(record, plan))
 
     report = SynthesisReport(utterances, counts, skipped)
-    if out_dir is not None:
-        _write_synthesis_artifacts(Path(out_dir), report)
+    _write_synthesis_artifacts(out_dir, report)
     return report
 
 
 def _write_synthesis_artifacts(out_dir: Path, report: SynthesisReport) -> None:
-    wav_dir = out_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
-    for s in report.utterances:
-        save_wav(out_dir / s.record.audio_path, s.waveform)
     save_manifest(out_dir / "manifest.tsv", [s.record for s in report.utterances])
     plan_lines = [
         f"{s.record.utterance_id}\t{s.plan.speaker_id}"

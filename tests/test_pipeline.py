@@ -18,6 +18,8 @@ from unitcat.pipeline import (
     extract_embeddings,
     parse_stages,
     run_pipeline,
+    segment_corpus,
+    synthesize_libraries,
 )
 from unitcat.tdnn import TdnnConfig, init_tdnn, load_params, save_params
 from unitcat.toydata import default_speaker_specs, make_toy_corpus
@@ -162,6 +164,46 @@ def test_missing_corpus_manifest(tmp_path):
     cfg = _config(tmp_path / "ghost", tmp_path / "out")
     with pytest.raises(PipelineError, match="manifest"):
         run_pipeline(cfg, ("segment",))
+
+
+@pytest.mark.parametrize("units_at_8k, refused", [("xx", False), ("ni xx", True)])
+def test_segment_checks_rates_only_among_transcript_units(tmp_path, units_at_8k, refused):
+    # s0's 8 kHz recording matters only if it holds a transcript unit
+    recordings = [("a", 16000, "ni hao"), ("b", 8000, units_at_8k)]
+    manifest, ali = [], []
+    for utt, rate, units in recordings:
+        save_wav(tmp_path / f"{utt}.wav", Waveform(np.ones(rate, dtype=np.int16), rate))
+        manifest.append(UtteranceRecord(utt, "s0", tuple(units.split()), f"{utt}.wav"))
+        ali += [f"{utt} 1 {0.1 * i:g} 0.1 {unit}\n" for i, unit in enumerate(units.split())]
+    save_manifest(tmp_path / "manifest.tsv", manifest)
+    (tmp_path / "ali.ctm").write_text("".join(ali), encoding="utf-8")
+
+    def segment():
+        return segment_corpus(
+            tmp_path / "manifest.tsv", tmp_path / "ali.ctm", tmp_path,
+            ("ni", "hao"), frozenset({"sil"}), tmp_path / "libs",
+        )
+
+    if refused:
+        with pytest.raises(ValueError, match=r"mixed sample rates: \[8000, 16000\]"):
+            segment()
+    else:
+        assert segment()[0] == "s0: ni:1 hao:1 covered=yes max_count=1"
+        assert (tmp_path / "libs" / "s0" / "segments.wav").is_file()
+
+
+def test_synth_leaves_no_manifest_when_a_later_library_fails_to_load(tmp_path):
+    # spk0's WAVs are rewritten before spk1's library fails to load, so no
+    # manifest may remain to describe them, not even an earlier call's
+    corpus = tmp_path / "corpus"
+    make_toy_corpus(corpus, default_speaker_specs(2))
+    run_pipeline(_config(corpus, tmp_path / "out"), ("segment",))
+    libdir, synth = tmp_path / "out" / "libraries", tmp_path / "synth"
+    synthesize_libraries(libdir, ("ni", "hao", "mi", "ya"), 3, synth)
+    (libdir / "spk1" / "segments.tsv").write_text("spk1\tni\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected 5 fields"):
+        synthesize_libraries(libdir, ("ni", "hao", "mi", "ya"), 4, synth)
+    assert [p.name for p in synth.glob("*.tsv")] == []
 
 
 def test_single_speaker_training_rejected(tmp_path):
@@ -566,6 +608,24 @@ def test_extract_memory_does_not_grow_with_the_archive(tmp_path):
     small_bytes, small_peak = archive_and_peak(100)
     large_bytes, large_peak = archive_and_peak(400)
     assert large_peak - small_peak < 0.5 * (large_bytes - small_bytes), (small_peak, large_peak)
+
+
+def test_synth_memory_does_not_grow_with_the_speaker_count(tmp_path):
+    # libraries are loaded one at a time and each WAV is saved as it is rendered
+    def peak(num_speakers):
+        corpus = tmp_path / f"corpus{num_speakers}"
+        make_toy_corpus(corpus, default_speaker_specs(num_speakers))
+        out = tmp_path / f"out{num_speakers}"
+        run_pipeline(_config(corpus, out), ("segment",))
+        tracemalloc.start()
+        try:
+            synthesize_libraries(out / "libraries", ("ni", "hao", "mi", "ya"), 3, out / "synth")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(8)
+    assert large < 1.5 * small, (small, large)
 
 
 def test_featurize_and_train_each_own_one_workspace_per_call(tmp_path, monkeypatch):

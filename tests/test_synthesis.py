@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unitcat.audio import Waveform, read_wav, write_wav
+from unitcat.audio import Waveform, read_wav
 from unitcat.segmentation import UnitLibrary, UnitSegment, build_library
 from unitcat.synthesis import (
     AugmentError,
@@ -164,8 +164,6 @@ def test_synthesize_corpus_is_reproducible(tmp_path):
     assert [s.record.utterance_id for s in one.utterances] == [
         s.record.utterance_id for s in two.utterances
     ]
-    for a, b in zip(one.utterances, two.utterances):
-        assert write_wav(a.waveform) == write_wav(b.waveform)
     for path in sorted((tmp_path / "w1").rglob("*")):
         other = tmp_path / "w2" / path.relative_to(tmp_path / "w1")
         if path.is_file():

@@ -94,6 +94,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="archive base path (.bin/.tsv)")
     p.add_argument("--audio-root", default=None)
     p.add_argument("--ali", default=None, help="alignments for VAD filtering")
+    p.add_argument("--silence", type=_arg(parse_units), default=default["silence_labels"],
+                   help="alignment units that --ali treats as non-speech")
     p.add_argument("--specaug", action="store_true", help="also write a masked 'train' archive")
     p.add_argument("--seed", type=_arg(parse_int), default=0)
 
@@ -195,7 +197,9 @@ def _cmd_featurize(args) -> list[str]:
     specaug = SpecAugmentParams() if args.specaug else None
     sources = [(Path(args.manifest), _audio_root(args))]
     ali = Path(args.ali) if args.ali else None
-    return featurize_corpus(sources, Path(args.out), specaug, args.seed, ali)
+    return featurize_corpus(
+        sources, Path(args.out), specaug, args.seed, ali, frozenset(args.silence)
+    )
 
 
 def _cmd_train_toy(args) -> list[str]:

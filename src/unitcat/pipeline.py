@@ -273,11 +273,13 @@ def featurize_corpus(
     specaug: SpecAugmentParams | None,
     seed: int,
     alignment_path: Path | None = None,
+    silence_labels: frozenset[str] = DEFAULT_SILENCE_LABELS,
 ) -> list[str]:
     """Normalized fbank features of every record of each (manifest, audio
-    root) source, in the archive out_base. With alignments, non-speech
-    frames are dropped before normalization. With specaug, a masked copy
-    of every record goes to the archive "train" beside out_base."""
+    root) source, in the archive out_base. With alignments, only frames
+    inside an entry whose unit is not in silence_labels are kept, before
+    normalization. With specaug, a masked copy of every record goes to the
+    archive "train" beside out_base."""
     train_base = out_base.with_name("train")
     if specaug is not None and out_base.with_suffix("") == train_base:
         raise ValueError(f"{out_base} is where the masked archive goes; choose another name")
@@ -292,12 +294,12 @@ def featurize_corpus(
             rec.utterance_id
             for records, _ in manifests
             for rec in records
-            if all(e.unit in DEFAULT_SILENCE_LABELS for e in alignments.get(rec.utterance_id, ()))
+            if all(e.unit in silence_labels for e in alignments.get(rec.utterance_id, ()))
         ]
         if unaligned:
             raise ValueError(
                 f"{len(unaligned)} utterance(s) have no alignment entries outside the "
-                f"silence labels ({', '.join(sorted(DEFAULT_SILENCE_LABELS))}): "
+                f"silence labels ({', '.join(sorted(silence_labels))}): "
                 f"{', '.join(unaligned[:5])}"
             )
     utterances = frames = 0
@@ -309,7 +311,8 @@ def featurize_corpus(
             for rec, wav in _records_with_audio(audio_root, records):
                 feats = compute_fbank(wav, work)
                 if alignments is not None:
-                    vad = derive_vad(alignments[rec.utterance_id], wav.num_samples, wav.sample_rate)
+                    entries = alignments[rec.utterance_id]
+                    vad = derive_vad(entries, wav.num_samples, wav.sample_rate, silence_labels)
                     feats = apply_vad_filter(feats, vad)
                     if not len(feats):
                         # known only now: the check above reads labels, not audio lengths

@@ -5,7 +5,8 @@ front end's NUM_FILTERS (40) log-mel features, a pooling layer
 concatenates per-dimension mean and standard deviation over all valid
 frames, an affine layer produces the 256-dim embedding (pre-activation),
 and a bias-free projection yields per-class cosines trained with an
-additive-angular-margin softmax, with hand-derived analytic gradients.
+additive-angular-margin softmax (aam_loss, one float64 call per chunk of
+embeddings), with hand-derived analytic gradients.
 ``forward``, ``loss_and_grads`` and ``train_step`` compute in their
 weights' dtype, float32 or float64. ``run`` trains and extracts in
 float32; the finite-difference gradient checks run the same code in
@@ -345,61 +346,63 @@ def _cosines(embeddings: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return np.clip((embeddings / e_norms) @ (proj / w_norms), -1.0, 1.0)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - np.max(z)
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
 def aam_loss(
-    embedding: np.ndarray, proj: np.ndarray, label: int, aam: AamParams
+    embedding: np.ndarray, proj: np.ndarray, label: int | list[int], aam: AamParams
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Additive-angular-margin cross entropy with analytic gradients.
+    """Additive-angular-margin cross entropy with analytic gradients, in
+    float64, of one embedding with an int label or of an (n, EMBED_DIM)
+    matrix with one label per row, all rows in one set of array operations.
 
     Logits are scale * cos(theta_j), except the target class which gets
     scale * cos(theta_y + margin); past theta_y + margin > pi the target
     logit falls back to the monotone linear form cos(theta_y) -
-    margin*sin(margin). Returns (loss, d loss/d embedding, d loss/d proj).
+    margin*sin(margin). Returns (summed loss, d loss/d embedding in
+    embedding's shape, summed d loss/d proj).
     """
-    embedding = np.asarray(embedding, dtype=np.float64)
+    e = np.atleast_2d(np.asarray(embedding, dtype=np.float64))
+    labels = np.atleast_1d(label)
     proj = np.asarray(proj, dtype=np.float64)
     n_classes = proj.shape[1]
-    if not 0 <= label < n_classes:
-        raise ValueError(f"label {label} out of range for {n_classes} classes")
-    e_norm = np.linalg.norm(embedding)
-    if e_norm == 0.0:
+    if labels.shape != (len(e),) or labels.dtype.kind not in "iu":
+        raise ValueError(f"{len(e)} embedding row(s) need one int label each, got {labels!r}")
+    out_of_range = labels[(labels < 0) | (labels >= n_classes)]
+    if out_of_range.size:
+        raise ValueError(f"label {out_of_range[0]} out of range for {n_classes} classes")
+    e_norms = np.linalg.norm(e, axis=1, keepdims=True)
+    if np.any(e_norms == 0.0):
         raise ValueError("zero-norm embedding")
     w_norms = np.linalg.norm(proj, axis=0)
     if np.any(w_norms == 0.0):
         raise ValueError("zero-norm projection column")
-    u = embedding / e_norm
+    u = e / e_norms
     v = proj / w_norms
     cos = np.clip(u @ v, -1.0, 1.0)
 
+    rows = np.arange(len(e))
     cos_m, sin_m = math.cos(aam.margin), math.sin(aam.margin)
-    c_y = cos[label]
-    if c_y > math.cos(math.pi - aam.margin):
-        sin_y = math.sqrt(max(1.0 - c_y * c_y, 0.0))
-        psi = c_y * cos_m - sin_y * sin_m
-        dpsi = cos_m + sin_m * c_y / sin_y if sin_y > 0.0 else cos_m
-    else:
-        psi = c_y - aam.margin * sin_m
-        dpsi = 1.0
+    c_y = cos[rows, labels]
+    sin_y = np.sqrt(np.maximum(1.0 - c_y * c_y, 0.0))
+    in_margin = c_y > math.cos(math.pi - aam.margin)
+    psi = np.where(in_margin, c_y * cos_m - sin_y * sin_m, c_y - aam.margin * sin_m)
+    # d psi / d cos_y; a target at theta_y = 0 takes cos_m
+    cot_y = np.divide(c_y, sin_y, out=np.zeros_like(c_y), where=sin_y > 0.0)
+    dpsi = np.where(in_margin, cos_m + sin_m * cot_y, 1.0)
 
     logits = aam.scale * cos
-    logits[label] = aam.scale * psi
-    probs = _softmax(logits)
-    loss = -math.log(max(probs[label], 1e-300))
-
-    # dL/dcos_j, with the margin's slope folded into the target class
-    g = probs.copy()
-    g[label] -= 1.0
+    logits[rows, labels] = aam.scale * psi
+    # each row's softmax, then dL/dcos_j: the softmax less the target's
+    # one-hot, times scale, with the margin's slope folded into the target
+    g = np.exp(logits - logits.max(axis=1, keepdims=True))
+    g /= g.sum(axis=1, keepdims=True)
+    loss = -np.log(np.maximum(g[rows, labels], 1e-300)).sum()
+    g[rows, labels] -= 1.0
     g *= aam.scale
-    g[label] *= dpsi
+    g[rows, labels] *= dpsi
 
-    grad_e = (v - u[:, None] * cos) @ g / e_norm
-    grad_w = (u[:, None] - v * cos) * (g / w_norms)
-    return loss, grad_e, grad_w
+    cos_g = cos * g
+    grad_e = (g @ v.T - u * cos_g.sum(axis=1, keepdims=True)) / e_norms
+    grad_w = (u.T @ g - v * cos_g.sum(axis=0)) / w_norms
+    return float(loss), grad_e.reshape(np.shape(embedding)), grad_w
 
 
 def _chunks(lengths: list[int]) -> list[range]:
@@ -440,8 +443,8 @@ def loss_and_grads(
 
     The pass computes in the dtype of params' tensors, float32 or float64:
     work must hold that dtype, the features are cast to it as they are
-    stacked, and the gradients take it. aam_loss computes each utterance's
-    row in float64 either way.
+    stacked, and the gradients take it. Each chunk makes one float64
+    aam_loss call and casts its embedding gradient back to that dtype.
     """
     dtype = _compute_dtype(params, "loss_and_grads")
     if work is None:
@@ -529,14 +532,10 @@ def _add_chunk_grads(
     w_scratch = alloc((max(params.tensors[name].size for name in gemm_weights),))
     w6 = params.tensors["segment6.W"]
     embeddings = pooled @ w6.T + params.tensors["segment6.b"]
-    grad_emb = np.empty_like(embeddings)
-    loss = 0.0
-    for i, (_, label) in enumerate(utts):
-        loss_i, grad_emb[i], grad_proj = aam_loss(
-            embeddings[i], params.tensors["projection.W"], label, aam
-        )
-        loss += loss_i
-        grads["projection.W"] += grad_proj
+    labels = [label for _, label in utts]
+    loss, grad_emb, grad_proj = aam_loss(embeddings, params.tensors["projection.W"], labels, aam)
+    grad_emb = grad_emb.astype(embeddings.dtype, copy=False)
+    grads["projection.W"] += grad_proj
     grads["segment6.W"] += np.matmul(grad_emb.T, pooled, out=_head(w_scratch, w6.shape))
     grads["segment6.b"] += grad_emb.sum(axis=0)
     d_pooled = grad_emb @ w6

@@ -56,6 +56,7 @@ CONFIG_FLAGS = {
     ("segment", "--manifest", "m", "--ali", "a", "--units", "ni", "--out", "o"): {
         "silence": "silence_labels",
     },
+    ("featurize", "--manifest", "m", "--out", "o"): {"silence": "silence_labels"},
     ("synth", "--libdir", "l", "--transcript", "ni", "--seed", "1", "--out", "o"): {
         "noise_dir": "noise_dir", "snr_list": "snr_list", "rir_dir": "rir_dir",
     },
@@ -430,6 +431,29 @@ def test_featurize_refuses_utterances_aligned_past_their_audio(cli_workspace, tm
     assert code == 2
     err = capsys.readouterr().err
     assert "'spk1-src-001'" in err and "non-silence alignment entry" in err
+
+
+def test_featurize_silence_flag_sets_the_labels_vad_drops(cli_workspace, tmp_path, capsys):
+    _, corpus, _, _, _ = cli_workspace
+    ali = tmp_path / "ali.ctm"
+    lines = []
+    for line in (corpus / "ali.ctm").read_text().splitlines(keepends=True):
+        fields = line.split()
+        lines.append(" ".join(fields[:-1] + ["sp" if fields[-1] == "sil" else fields[-1]]) + "\n")
+    ali.write_text("".join(lines))
+    assert "sp" in ali.read_text().split() and "sil" not in ali.read_text().split()
+    argv = ["featurize", "--manifest", str(corpus / "manifest.tsv")]
+    assert run_cli(*argv, "--out", str(tmp_path / "sil"), "--ali", str(corpus / "ali.ctm")) == 0
+    assert run_cli(*argv, "--out", str(tmp_path / "sp"), "--ali", str(ali), "--silence", "sp") == 0
+    for suffix in (".tsv", ".bin"):
+        sil = (tmp_path / "sil").with_suffix(suffix).read_bytes()
+        assert sil == (tmp_path / "sp").with_suffix(suffix).read_bytes(), suffix
+    capsys.readouterr()
+
+    out = tmp_path / "all"
+    assert run_cli(*argv, "--out", str(out), "--ali", str(ali), "--silence", "sp ni hao mi ya") == 2
+    assert "outside the silence labels (hao, mi, ni, sp, ya)" in capsys.readouterr().err
+    assert not out.with_suffix(".tsv").exists()
 
 
 def test_extract_names_records_too_short_to_embed(cli_workspace, tmp_path, capsys):

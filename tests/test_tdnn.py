@@ -245,6 +245,51 @@ def test_aam_loss_monotone_in_margin(seed, label, m1, m2):
     assert loss_lo <= loss_hi + 1e-9
 
 
+def test_aam_rows_call_equals_its_one_row_calls():
+    rng = np.random.default_rng(30)
+    dim, classes = 6, 4
+    proj = rng.normal(size=(dim, classes))
+    # class columns 0 and 1 on basis vectors, so cosines of +-1 come out exact
+    proj[:, 0], proj[:, 1] = 1.5 * np.eye(dim)[0], 0.5 * np.eye(dim)[1]
+    rows = [
+        (-2.0 * np.eye(dim)[1], 1),  # opposite its class column: the margin fallback
+        (3.0 * np.eye(dim)[0], 0),  # parallel to its class column: sin theta_y = 0
+    ] + [(rng.normal(size=dim), label) for label in (0, 1, 2, 3, 2)]
+    embeddings = np.stack([e for e, _ in rows])
+    labels = [label for _, label in rows]
+    aam = AamParams()
+
+    loss, grad_e, grad_w = aam_loss(embeddings, proj, labels, aam)
+    ones = [aam_loss(e, proj, label, aam) for e, label in rows]
+    assert abs(loss - sum(one[0] for one in ones)) <= 1e-12 * max(1.0, abs(loss))
+    assert grad_e.shape == embeddings.shape and ones[0][1].shape == (dim,)
+    np.testing.assert_allclose(grad_e, np.stack([one[1] for one in ones]), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad_w, sum(one[2] for one in ones), rtol=1e-12, atol=1e-12)
+    assert all(math.isfinite(one[0]) for one in ones)
+
+    with pytest.raises(ValueError, match="label 7 out of range for 4 classes"):
+        aam_loss(embeddings, proj, labels[:-1] + [7], aam)
+    for bad in (labels[0], labels[:-1], [float(label) for label in labels]):
+        with pytest.raises(ValueError, match="7 embedding row.* one int label each"):
+            aam_loss(embeddings, proj, bad, aam)
+
+
+def test_loss_and_grads_makes_one_aam_call_per_chunk(monkeypatch):
+    params = init_tdnn(TdnnConfig(num_classes=3), seed=31)
+    batch = [(_feats(CHUNK_FRAMES // 2, seed=i), i % 3) for i in range(5)]
+    chunks = tdnn._chunks([len(feats) for feats, _ in batch])
+    assert len(chunks) == 3
+    calls = []
+
+    def counting(embedding, proj, label, aam):
+        calls.append(len(embedding))
+        return aam_loss(embedding, proj, label, aam)
+
+    monkeypatch.setattr(tdnn, "aam_loss", counting)
+    loss_and_grads(params, batch, AamParams())
+    assert calls == [len(chunk) for chunk in chunks]
+
+
 def test_full_network_gradients_match_finite_differences():
     cfg = TdnnConfig(num_classes=3)
     params = init_tdnn(cfg, seed=21)

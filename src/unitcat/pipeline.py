@@ -3,11 +3,12 @@ extract, score, eval.
 
 Each stage is one public function of explicit input paths, output paths
 and parameters that returns its report lines; ``unitcat run`` and the
-standalone subcommands both call it. ``run_pipeline`` reads every stage's
-inputs from the previous stage's directory under cfg.out_dir and replaces
-the stage's own directory, so a rerun never reads a stale artifact. All
-randomness derives from one seed and no artifact contains a timestamp, so
-rerunning with the same seed reproduces the tree byte for byte.
+standalone subcommands both call it. ``run_pipeline`` runs each stage into
+``<dir>.partial`` under cfg.out_dir and swaps that in for the stage's
+directory only when the stage returns, so a rerun never reads a stale or
+half-written artifact. All randomness derives from one seed and no artifact
+contains a timestamp, so rerunning with the same seed reproduces the tree
+byte for byte.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ from .tdnn import (
 )
 from .workspace import Workspace
 
-STAGES = ("segment", "synth", "augment", "featurize", "train", "extract", "score", "eval")
-
 
 class PipelineError(RuntimeError):
     pass
@@ -85,6 +84,8 @@ def parse_stages(raw: str | None) -> tuple[str, ...]:
     names = [s.strip() for s in raw.split(",") if s.strip()]
     if raw.strip().lower() in ("", "none"):
         return ()
+    if not names:
+        raise ConfigError(f"stage list {raw!r} names no stage; use 'none' to only validate")
     unknown = [n for n in names if n not in STAGES]
     if unknown:
         raise ConfigError(f"unknown stage name(s): {', '.join(unknown)}")
@@ -145,23 +146,6 @@ def _refuse_unfit_features(stage: str, records: list[tuple[str, np.ndarray | Rec
             f"{len(nonfinite)} feature records hold non-finite values: "
             f"{', '.join(nonfinite[:5])}"
         )
-
-
-def run_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> str:
-    out = Path(cfg.out_dir)
-    report: list[str] = []
-    if not stages:
-        return "config valid; no stages requested\n"
-    for stage in stages:
-        runner = _STAGE_RUNNERS[stage]
-        lines = runner(cfg, out)
-        report.append(f"[{stage}]")
-        report.extend(lines)
-        report.append("")
-    text = "".join(line + "\n" for line in report)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    return text
 
 
 # --- stages ---------------------------------------------------------------
@@ -449,17 +433,11 @@ def evaluate_scores(
     ]
 
 
-# --- run's stage runners: map the config onto the stage functions ---------
+# --- run's stage table: each stage's directory under out_dir and a runner
+# that reads other stages' directories under out and writes only under dest
 
 
-def _fresh(path: Path) -> Path:
-    """path, after removing what an earlier run left there."""
-    if path.exists():
-        shutil.rmtree(path)
-    return path
-
-
-def _stage_segment(cfg: PipelineConfig, out: Path) -> list[str]:
+def _segment(cfg: PipelineConfig, out: Path, dest: Path) -> list[str]:
     corpus = Path(cfg.corpus_dir)
     return segment_corpus(
         corpus / "manifest.tsv",
@@ -467,20 +445,16 @@ def _stage_segment(cfg: PipelineConfig, out: Path) -> list[str]:
         corpus,
         cfg.transcript,
         cfg.silence_labels,
-        _fresh(out / "libraries"),
+        dest,
     )
 
 
-def _stage_synth(cfg: PipelineConfig, out: Path) -> list[str]:
-    return synthesize_libraries(out / "libraries", cfg.transcript, cfg.seed, _fresh(out / "synth"))
-
-
-def _stage_augment(cfg: PipelineConfig, out: Path) -> list[str]:
+def _augment(cfg: PipelineConfig, out: Path, dest: Path) -> list[str]:
     synth = out / "synth"
     return augment_audio(
         synth / "manifest.tsv",
         synth,
-        _fresh(out / "augmented"),
+        dest,
         cfg.seed,
         cfg.noise_dir,
         cfg.snr_list,
@@ -499,51 +473,72 @@ def _corpus_sources(cfg: PipelineConfig, out: Path) -> list[tuple[Path, Path]]:
     return sources
 
 
-def _stage_featurize(cfg: PipelineConfig, out: Path) -> list[str]:
+def _featurize(cfg: PipelineConfig, out: Path, dest: Path) -> list[str]:
     specaug = SpecAugmentParams() if cfg.spec_augment else None
-    sources = _corpus_sources(cfg, out)
-    feats = _fresh(out / "features") / "features"
-    return featurize_corpus(sources, feats, specaug, cfg.seed)
+    return featurize_corpus(_corpus_sources(cfg, out), dest / "features", specaug, cfg.seed)
 
 
-def _stage_train(cfg: PipelineConfig, out: Path) -> list[str]:
+def _train(cfg: PipelineConfig, out: Path, dest: Path) -> list[str]:
     feats = out / "features" / ("train" if cfg.spec_augment else "features")
     manifests = [manifest for manifest, _ in _corpus_sources(cfg, out)]
-    params = _fresh(out / "model") / "params.bin"
+    params = dest / "params.bin"
     return train_model(feats, manifests, params, cfg.train_steps, cfg.learn_rate, cfg.seed)
 
 
-def _stage_extract(cfg: PipelineConfig, out: Path) -> list[str]:
-    params = out / "model" / "params.bin"
-    embeddings = _fresh(out / "embeddings") / "embeddings"
-    return extract_embeddings(params, out / "features" / "features", embeddings)
-
-
-def _stage_score(cfg: PipelineConfig, out: Path) -> list[str]:
-    trials = Path(cfg.corpus_dir) / "trials.tsv"
-    scores = _fresh(out / "scores") / "scores.txt"
-    return score_embeddings(trials, out / "embeddings" / "embeddings", scores)
-
-
-def _stage_eval(cfg: PipelineConfig, out: Path) -> list[str]:
-    eval_dir = _fresh(out / "eval")
+def _eval(cfg: PipelineConfig, out: Path, dest: Path) -> list[str]:
     metrics, summary = evaluate_scores(
-        out / "scores" / "scores.txt", cfg.p_target, cfg.c_miss, cfg.c_fa, eval_dir / "roc.tsv"
+        out / "scores" / "scores.txt", cfg.p_target, cfg.c_miss, cfg.c_fa, dest / "roc.tsv"
     )
-    (eval_dir / "roc.svg").write_text(roc_svg(metrics.roc), encoding="utf-8")
-    (eval_dir / "metrics.txt").write_text(
+    (dest / "roc.svg").write_text(roc_svg(metrics.roc), encoding="utf-8")
+    (dest / "metrics.txt").write_text(
         "".join(line + "\n" for line in summary), encoding="utf-8"
     )
     return summary
 
 
-_STAGE_RUNNERS = {
-    "segment": _stage_segment,
-    "synth": _stage_synth,
-    "augment": _stage_augment,
-    "featurize": _stage_featurize,
-    "train": _stage_train,
-    "extract": _stage_extract,
-    "score": _stage_score,
-    "eval": _stage_eval,
+_STAGES = {
+    "segment": ("libraries", _segment),
+    "synth": ("synth", lambda cfg, out, dest: synthesize_libraries(
+        out / "libraries", cfg.transcript, cfg.seed, dest
+    )),
+    "augment": ("augmented", _augment),
+    "featurize": ("features", _featurize),
+    "train": ("model", _train),
+    "extract": ("embeddings", lambda cfg, out, dest: extract_embeddings(
+        out / "model" / "params.bin", out / "features" / "features", dest / "embeddings"
+    )),
+    "score": ("scores", lambda cfg, out, dest: score_embeddings(
+        Path(cfg.corpus_dir) / "trials.tsv", out / "embeddings" / "embeddings", dest / "scores.txt"
+    )),
+    "eval": ("eval", _eval),
 }
+STAGES = tuple(_STAGES)
+
+
+def run_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> str:
+    if not stages:
+        return "config valid; no stages requested\n"
+    out = Path(cfg.out_dir)
+    (out / "report.txt").unlink(missing_ok=True)  # a failed run leaves no earlier report
+    report: list[str] = []
+    for stage in stages:
+        directory, runner = _STAGES[stage]
+        done, partial = out / directory, out / f"{directory}.partial"
+        if partial.exists():
+            shutil.rmtree(partial)
+        try:
+            lines = runner(cfg, out, partial)
+        except BaseException:
+            shutil.rmtree(partial, ignore_errors=True)
+            raise
+        if done.exists():
+            shutil.rmtree(done)
+        if partial.exists():  # a stage that wrote nothing removes its directory
+            partial.rename(done)
+        report.append(f"[{stage}]")
+        report.extend(lines)
+        report.append("")
+    text = "".join(line + "\n" for line in report)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.txt").write_text(text, encoding="utf-8")
+    return text

@@ -871,6 +871,8 @@ def test_run_command_validate_only(tmp_path, capsys):
     )
     assert run_cli("run", "--config", str(cfg), "--stages", "none") == 0
     assert "config valid" in capsys.readouterr().out
+    assert run_cli("run", "--config", str(cfg), "--stages", " , ") == 2
+    assert "stage list ' , ' names no stage" in capsys.readouterr().err
 
 
 def test_run_refuses_zero_training_steps_before_any_stage(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,9 @@ def test_parse_stages():
     assert parse_stages(" eval , score ") == ("score", "eval")
     with pytest.raises(ConfigError, match="warp"):
         parse_stages("segment,warp")
+    for raw in (",", " , "):
+        with pytest.raises(ConfigError, match=f"stage list {raw!r} names no stage"):
+            parse_stages(raw)
 
 
 def test_no_stages_only_validates(tmp_path):
@@ -204,6 +208,55 @@ def test_synth_leaves_no_manifest_when_a_later_library_fails_to_load(tmp_path):
     with pytest.raises(ValueError, match="expected 5 fields"):
         synthesize_libraries(libdir, ("ni", "hao", "mi", "ya"), 4, synth)
     assert [p.name for p in synth.glob("*.tsv")] == []
+
+
+def _copy_of_run(full_run, tmp_path):
+    """full_run's config and tree, copied to tmp_path / "out"."""
+    cfg, out, _ = full_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    return dataclasses.replace(cfg, out_dir=str(copy)), copy
+
+
+def test_a_failing_stage_leaves_its_previous_directory(full_run, tmp_path):
+    # synth rewrites spk0's WAVs before spk1's library fails to load
+    cfg, out = _copy_of_run(full_run, tmp_path)
+    before = _tree_bytes(out / "synth")
+    (out / "libraries" / "spk1" / "segments.tsv").write_text("spk1\tni\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="expected 5 fields"):
+        run_pipeline(cfg, ("synth",))
+    assert _tree_bytes(out / "synth") == before
+    assert list(out.rglob("*.partial")) == []
+    assert not (out / "report.txt").exists()  # the full run's report went first
+
+
+def test_a_killed_stages_partial_directory_is_replaced_by_the_next_run(full_run, tmp_path):
+    cfg, out = _copy_of_run(full_run, tmp_path)
+    clean = _tree_bytes(out)
+    junk = out / "synth.partial" / "wav" / "half.wav"
+    junk.parent.mkdir(parents=True)
+    junk.write_bytes(b"RIFF")
+    run_pipeline(cfg, ("synth",))
+    after = _tree_bytes(out)
+    del after["report.txt"], clean["report.txt"]
+    assert after == clean
+
+
+def test_augment_with_nothing_configured_removes_earlier_copies(tmp_path):
+    corpus = tmp_path / "corpus"
+    make_toy_corpus(corpus, default_speaker_specs(2))
+    rng = np.random.default_rng(4)
+    save_wav(
+        tmp_path / "noises" / "hum.wav",
+        Waveform(rng.integers(-1500, 1500, size=6000, dtype=np.int16), 16000),
+    )
+    clean = _config(corpus, tmp_path / "out")
+    noisy = dataclasses.replace(clean, noise_dir=str(tmp_path / "noises"), snr_list=(5.0,))
+    run_pipeline(noisy, ("segment", "synth", "augment"))
+    assert (tmp_path / "out" / "augmented" / "manifest.tsv").is_file()
+    assert "nothing configured, skipped" in run_pipeline(clean, ("augment",))
+    assert not (tmp_path / "out" / "augmented").exists()
+    assert list((tmp_path / "out").glob("*.partial")) == []
 
 
 def test_single_speaker_training_rejected(tmp_path):

@@ -26,6 +26,7 @@ from .pipeline import (
     run_pipeline,
     score_embeddings,
     segment_corpus,
+    swapped_in,
     synthesize_libraries,
     train_model,
 )
@@ -166,30 +167,39 @@ def _audio_root(args) -> Path:
     return Path(args.audio_root) if args.audio_root else Path(args.manifest).parent
 
 
+def _fresh_out(args) -> Path:
+    """--out, resolved; refused unless missing or an empty directory, as it is swapped in."""
+    out = Path(args.out).resolve()
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise ValueError(f"--out {args.out} exists and is not an empty directory")
+    return out
+
+
 def _cmd_segment(args) -> list[str]:
-    return segment_corpus(
-        Path(args.manifest),
-        Path(args.ali),
-        _audio_root(args),
-        args.units,
-        frozenset(args.silence),
-        Path(args.out),
-    )
+    with swapped_in(_fresh_out(args)) as out:
+        return segment_corpus(
+            Path(args.manifest),
+            Path(args.ali),
+            _audio_root(args),
+            args.units,
+            frozenset(args.silence),
+            out,
+        )
 
 
 def _cmd_synth(args) -> list[str]:
-    out = Path(args.out)
-    lines = synthesize_libraries(Path(args.libdir), args.transcript, args.seed, out)
-    if args.noise_dir or args.rir_dir:
-        lines += augment_audio(
-            out / "manifest.tsv",
-            out,
-            out / "augmented",
-            args.seed,
-            args.noise_dir,
-            args.snr_list,
-            args.rir_dir,
-        )
+    with swapped_in(_fresh_out(args)) as out:
+        lines = synthesize_libraries(Path(args.libdir), args.transcript, args.seed, out)
+        if args.noise_dir or args.rir_dir:
+            lines += augment_audio(
+                out / "manifest.tsv",
+                out,
+                out / "augmented",
+                args.seed,
+                args.noise_dir,
+                args.snr_list,
+                args.rir_dir,
+            )
     return lines
 
 

@@ -3,12 +3,12 @@ extract, score, eval.
 
 Each stage is one public function of explicit input paths, output paths
 and parameters that returns its report lines; ``unitcat run`` and the
-standalone subcommands both call it. ``run_pipeline`` runs each stage into
-``<dir>.partial`` under cfg.out_dir and swaps that in for the stage's
-directory only when the stage returns, so a rerun never reads a stale or
-half-written artifact. All randomness derives from one seed and no artifact
-contains a timestamp, so rerunning with the same seed reproduces the tree
-byte for byte.
+standalone subcommands both call it. Each directory output (a stage's under
+cfg.out_dir, standalone segment's and synth's --out) is written by
+``swapped_in`` into ``<dir>.partial``, which replaces ``<dir>`` only when the
+writer returns, so a rerun never reads a stale or half-written artifact. All
+randomness derives from one seed and no artifact contains a timestamp, so
+rerunning with the same seed reproduces the tree byte for byte.
 """
 
 from __future__ import annotations
@@ -92,6 +92,24 @@ def parse_stages(raw: str | None) -> tuple[str, ...]:
     return tuple(s for s in STAGES if s in names)
 
 
+@contextlib.contextmanager
+def swapped_in(done: Path) -> Iterator[Path]:
+    """Yield an empty ``<done>.partial`` to write into. It replaces done when the block
+    returns (done is removed if nothing was written) and is removed if it raises."""
+    partial = done.with_name(f"{done.name}.partial")
+    if partial.exists():  # what a killed writer left
+        shutil.rmtree(partial)
+    try:
+        yield partial
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if done.exists():
+        shutil.rmtree(done)
+    if partial.exists():
+        partial.rename(done)
+
+
 def _require(path: Path, hint: str) -> Path:
     if not path.exists():
         raise PipelineError(f"missing {hint}: {path}")
@@ -159,28 +177,23 @@ def segment_corpus(
     silence_labels,
     libdir: Path,
 ) -> list[str]:
-    """Chunk every manifest utterance, keeping the transcript's units only, and
-    persist one library per speaker; returns per-speaker summary lines."""
+    """Chunk every manifest utterance, keeping the transcript's units only, and save each
+    speaker's library before cutting the next one's; returns per-speaker summary lines."""
     manifest = load_manifest(_require(manifest_path, "corpus manifest"))
     alignments = group_alignments(load_alignment(_require(alignment_path, "alignment file")))
     units = unique_units(transcript)
-    by_speaker: dict[str, list] = {}
-    for rec, wav in _records_with_audio(audio_root, manifest):
-        if rec.utterance_id not in alignments:
-            raise ValueError(f"no alignment entries for utterance {rec.utterance_id!r}")
-        segs = extract_segments(
-            wav, alignments[rec.utterance_id], rec.speaker_id, silence_labels
-        )
-        by_speaker.setdefault(rec.speaker_id, []).extend(s for s in segs if s.unit in units)
-
+    by_speaker: dict[str, list[UtteranceRecord]] = {}
+    for rec in manifest:
+        by_speaker.setdefault(rec.speaker_id, []).append(rec)
     lines = []
     for speaker in sorted(by_speaker):
-        segs = by_speaker[speaker]
-        lib = (
-            build_library(segs, units)
-            if segs
-            else UnitLibrary(speaker_id=speaker, table={})
-        )
+        segs = []
+        for rec, wav in _records_with_audio(audio_root, by_speaker[speaker]):
+            if rec.utterance_id not in alignments:
+                raise ValueError(f"no alignment entries for utterance {rec.utterance_id!r}")
+            cut = extract_segments(wav, alignments[rec.utterance_id], speaker, silence_labels)
+            segs.extend(s for s in cut if s.unit in units)
+        lib = build_library(segs, units) if segs else UnitLibrary(speaker, {})
         save_library(libdir, lib)
         stats = library_stats(lib, units)
         counts = " ".join(f"{u}:{stats.counts[u]}" for u in units)
@@ -523,18 +536,8 @@ def run_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = STAGES) -> str:
     report: list[str] = []
     for stage in stages:
         directory, runner = _STAGES[stage]
-        done, partial = out / directory, out / f"{directory}.partial"
-        if partial.exists():
-            shutil.rmtree(partial)
-        try:
-            lines = runner(cfg, out, partial)
-        except BaseException:
-            shutil.rmtree(partial, ignore_errors=True)
-            raise
-        if done.exists():
-            shutil.rmtree(done)
-        if partial.exists():  # a stage that wrote nothing removes its directory
-            partial.rename(done)
+        with swapped_in(out / directory) as dest:
+            lines = runner(cfg, out, dest)
         report.append(f"[{stage}]")
         report.extend(lines)
         report.append("")

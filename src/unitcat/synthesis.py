@@ -121,15 +121,12 @@ def synthesize_corpus(
     """Render per covered speaker exactly max-unit-count utterances into out_dir.
 
     Speakers whose library misses any transcript unit are skipped and reported. Each
-    utterance's WAV is saved as soon as it is rendered. manifest.tsv, plans.tsv and
-    skips.tsv are removed first and written after the last WAV, so a failed call leaves
-    none of them. Output is deterministic for a fixed seed: utterance seeds derive from
-    (seed, speaker, index), and utterances are written in library order.
+    utterance's WAV is saved as soon as it is rendered, and manifest.tsv, plans.tsv and
+    skips.tsv after the last one. Output is deterministic for a fixed seed: utterance
+    seeds derive from (seed, speaker, index), and utterances are written in library order.
     """
     out_dir = Path(out_dir)
     (out_dir / "wav").mkdir(parents=True, exist_ok=True)
-    for name in ("manifest.tsv", "plans.tsv", "skips.tsv"):
-        (out_dir / name).unlink(missing_ok=True)
     units = unique_units(transcript)
     skipped = []
     counts: dict[str, int] = {}

@@ -1,3 +1,4 @@
+import shutil
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -666,20 +667,81 @@ def test_segment_refuses_an_utterance_without_alignment_entries_exit_2(
     cli_workspace, tmp_path, capsys
 ):
     _, corpus, _, _, _ = cli_workspace
-    utt = (corpus / "manifest.tsv").read_text().split("\t", 1)[0]
-    ali = tmp_path / "ali.ctm"
-    ali.write_text("".join(
-        line for line in (corpus / "ali.ctm").read_text().splitlines(keepends=True)
-        if line.split()[0] != utt
-    ))
-    out = tmp_path / "libs"
+    rows = [line.split("\t") for line in (corpus / "manifest.tsv").read_text().splitlines()]
+    last_speaker = max(row[1] for row in rows)
+    # the first utterance, and one of the last speaker's, whose turn comes
+    # after every other speaker's library is saved
+    for utt in (rows[0][0], next(row[0] for row in rows if row[1] == last_speaker)):
+        ali = tmp_path / "ali.ctm"
+        ali.write_text("".join(
+            line for line in (corpus / "ali.ctm").read_text().splitlines(keepends=True)
+            if line.split()[0] != utt
+        ))
+        out = tmp_path / "libs"
+        code = run_cli(
+            "segment", "--manifest", str(corpus / "manifest.tsv"), "--ali", str(ali),
+            "--units", "ni hao mi ya", "--out", str(out),
+        )
+        assert code == 2
+        assert f"no alignment entries for utterance {utt!r}" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "libs.partial").exists()
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_segment_and_synth_refuse_an_out_that_is_not_an_empty_directory_exit_2(
+    tmp_path, capsys
+):
+    # a second segment into libs once kept the first corpus's spk2, whose
+    # utterances a later synth --libdir libs still synthesized
+    for name, speakers in (("a", "3"), ("b", "2")):
+        assert run_cli("make-toy", "--out", str(tmp_path / name), "--speakers", speakers) == 0
+    libs, synth = tmp_path / "libs", tmp_path / "synth"
+
+    def segment(corpus):
+        return run_cli(
+            "segment", "--manifest", str(tmp_path / corpus / "manifest.tsv"),
+            "--ali", str(tmp_path / corpus / "ali.ctm"), "--units", "ni hao mi ya",
+            "--out", str(libs),
+        )
+
+    def synth_into(out):
+        return run_cli(
+            "synth", "--libdir", str(libs), "--transcript", "ni hao mi ya", "--seed", "7",
+            "--out", str(out),
+        )
+
+    assert segment("a") == 0
+    synth.mkdir()  # an empty directory is taken
+    assert synth_into(synth) == 0
+    for out, rerun in ((libs, lambda: segment("b")), (synth, lambda: synth_into(synth))):
+        before = _tree_bytes(out)
+        capsys.readouterr()
+        assert rerun() == 2
+        assert f"--out {out} exists and is not an empty directory" in capsys.readouterr().err
+        assert _tree_bytes(out) == before
+        assert not out.with_name(f"{out.name}.partial").exists()
+
+
+def test_synth_leaves_no_out_when_a_later_library_fails_to_load(cli_workspace, tmp_path, capsys):
+    # spk0's WAVs are written before spk1's library fails to load; they go
+    # with the .partial directory, and no manifest describes them
+    _, _, libs, _, _ = cli_workspace
+    copy = tmp_path / "libs"
+    shutil.copytree(libs, copy)
+    (copy / "spk1" / "segments.tsv").write_text("spk1\tni\n", encoding="utf-8")
+    out = tmp_path / "s"
     code = run_cli(
-        "segment", "--manifest", str(corpus / "manifest.tsv"), "--ali", str(ali),
-        "--units", "ni hao mi ya", "--out", str(out),
+        "synth", "--libdir", str(copy), "--transcript", "ni hao mi ya", "--seed", "7",
+        "--out", str(out),
     )
     assert code == 2
-    assert f"no alignment entries for utterance {utt!r}" in capsys.readouterr().err
+    assert "expected 5 fields" in capsys.readouterr().err
     assert not out.exists()
+    assert not (tmp_path / "s.partial").exists()
 
 
 def test_train_toy_refuses_feature_ids_missing_from_the_manifest_exit_2(

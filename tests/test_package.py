@@ -45,3 +45,35 @@ def test_modules_import_only_the_standard_library_numpy_and_unitcat():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
+
+
+def _moves(node, function=None):
+    """(enclosing def, callee, line) of every call under node to rmtree, to
+    a rename method or to os.replace."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _moves(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            is_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+            if name in ("rmtree", "rename") or (name == "replace" and is_os):
+                yield function, name, child.lineno
+        yield from _moves(child, function)
+
+
+def test_only_the_swap_helper_removes_or_renames_directories():
+    # one rule keeps a directory output whole: pipeline.swapped_in's .partial
+    # swap; an archive's two files keep ArchiveWriter's temporary siblings
+    allowed = {
+        ("pipeline.py", "swapped_in", "rmtree"),
+        ("pipeline.py", "swapped_in", "rename"),
+        ("archive.py", "close", "replace"),
+    }
+    seen = set()
+    for path in sorted((SRC / "unitcat").glob("*.py")):
+        for function, name, line in _moves(ast.parse(path.read_text(encoding="utf-8"))):
+            assert (path.name, function, name) in allowed, f"{path.name}:{line} calls {name}"
+            seen.add((path.name, function, name))
+    assert seen == allowed

@@ -196,20 +196,6 @@ def test_segment_checks_rates_only_among_transcript_units(tmp_path, units_at_8k,
         assert (tmp_path / "libs" / "s0" / "segments.wav").is_file()
 
 
-def test_synth_leaves_no_manifest_when_a_later_library_fails_to_load(tmp_path):
-    # spk0's WAVs are rewritten before spk1's library fails to load, so no
-    # manifest may remain to describe them, not even an earlier call's
-    corpus = tmp_path / "corpus"
-    make_toy_corpus(corpus, default_speaker_specs(2))
-    run_pipeline(_config(corpus, tmp_path / "out"), ("segment",))
-    libdir, synth = tmp_path / "out" / "libraries", tmp_path / "synth"
-    synthesize_libraries(libdir, ("ni", "hao", "mi", "ya"), 3, synth)
-    (libdir / "spk1" / "segments.tsv").write_text("spk1\tni\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="expected 5 fields"):
-        synthesize_libraries(libdir, ("ni", "hao", "mi", "ya"), 4, synth)
-    assert [p.name for p in synth.glob("*.tsv")] == []
-
-
 def _copy_of_run(full_run, tmp_path):
     """full_run's config and tree, copied to tmp_path / "out"."""
     cfg, out, _ = full_run
@@ -673,6 +659,25 @@ def test_synth_memory_does_not_grow_with_the_speaker_count(tmp_path):
         tracemalloc.start()
         try:
             synthesize_libraries(out / "libraries", ("ni", "hao", "mi", "ya"), 3, out / "synth")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(8)
+    assert large < 1.5 * small, (small, large)
+
+
+def test_segment_memory_does_not_grow_with_the_speaker_count(tmp_path):
+    # each speaker's library is saved before the next speaker's recordings are cut
+    def peak(num_speakers):
+        corpus = tmp_path / f"corpus{num_speakers}"
+        make_toy_corpus(corpus, default_speaker_specs(num_speakers))
+        tracemalloc.start()
+        try:
+            segment_corpus(
+                corpus / "manifest.tsv", corpus / "ali.ctm", corpus, ("ni", "hao", "mi", "ya"),
+                frozenset({"sil", "spn"}), tmp_path / f"libs{num_speakers}",
+            )
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -180,6 +180,8 @@ def segment_corpus(
     """Chunk every manifest utterance, keeping the transcript's units only, and save each
     speaker's library before cutting the next one's; returns per-speaker summary lines."""
     manifest = load_manifest(_require(manifest_path, "corpus manifest"))
+    if not manifest:
+        raise ValueError(f"{manifest_path}: the corpus manifest lists no utterances")
     alignments = group_alignments(load_alignment(_require(alignment_path, "alignment file")))
     units = unique_units(transcript)
     by_speaker: dict[str, list[UtteranceRecord]] = {}
@@ -342,10 +344,11 @@ def train_model(
     """Train the TDNN on the first record of every archived id, labelled
     with its speaker from the manifests.
 
-    Training computes in float32: the weights start as init_tdnn's float64
-    draw rounded once, every step's buffers come from one float32
-    Workspace, and save_params widens the trained weights exactly, so
-    extract's float32 load reads back the very weights trained here."""
+    Training computes in float32: the weights start as init_tdnn's float32
+    draw (its float64 draw rounded once), every step's buffers come from
+    one float32 Workspace, and save_params widens the trained weights
+    exactly, so extract's float32 load reads back the very weights
+    trained here."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _require(features_base.with_suffix(".tsv"), "feature archive")
@@ -366,11 +369,10 @@ def train_model(
     class_index = {s: i for i, s in enumerate(speakers)}
     batch = [(record, class_index[speaker_of[utt_id]]) for utt_id, record in firsts]
 
-    # float32 runs the step's GEMMs at about twice the float64 rate; no
-    # name keeps the float64 draw alive while training runs
+    # float32 runs the step's GEMMs at about twice the float64 rate
     params = init_tdnn(
-        TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init")
-    ).astype(np.float32)
+        TdnnConfig(num_classes=len(speakers)), derive_seed(seed, "init"), np.float32
+    )
     aam = AamParams()
     losses = []
     work = Workspace(np.float32)

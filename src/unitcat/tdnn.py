@@ -11,6 +11,8 @@ embeddings), with hand-derived analytic gradients.
 weights' dtype, float32 or float64. ``run`` trains and extracts in
 float32; the finite-difference gradient checks run the same code in
 float64, and ``forward_activations``, which serves them, is float64 only.
+``init_tdnn`` draws each weight tensor from its own splitmix64 stream
+(``rng.fill_normal``) straight into the dtype asked for.
 
 Every pass is stacked: ``loss_and_grads`` and ``forward`` concatenate up
 to CHUNK_FRAMES frames of their utterances into one stream and run each
@@ -37,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import NUM_FILTERS
-from .rng import derive_seed
+from .rng import derive_seed, fill_normal
 from .workspace import Workspace
 
 # (name, splice offsets, output dim); input dim is len(offsets) * previous dim
@@ -135,16 +137,21 @@ def _tensor_shapes(cfg: TdnnConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_tdnn(cfg: TdnnConfig, seed: int) -> TdnnParams:
-    """Gaussian weights with standard deviation 1/sqrt(fan_in), zero biases."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def init_tdnn(cfg: TdnnConfig, seed: int, dtype: np.dtype | type = np.float64) -> TdnnParams:
+    """Gaussian weights with standard deviation 1/sqrt(fan_in), zero biases,
+    stored in dtype (train draws float32 weights).
+
+    Each weight tensor is drawn from its own stream, derive_seed(seed,
+    name), by rng.fill_normal in float64, and rounded once into dtype
+    before the next one is drawn, so a float32 init is the float64 init
+    rounded once and no float64 copy of the weights is ever held."""
     tensors: dict[str, np.ndarray] = {}
     for name, shape in _tensor_shapes(cfg).items():
-        # a layer's W maps its columns' inputs; the projection's rows are the embedding
-        fan_in = EMBED_DIM if name == "projection.W" else shape[-1]
-        tensors[name] = (
-            np.zeros(shape) if len(shape) == 1 else rng.standard_normal(shape) / math.sqrt(fan_in)
-        )
+        tensors[name] = np.zeros(shape, dtype)
+        if len(shape) == 2:
+            # a layer's W maps its columns' inputs; the projection's rows are the embedding
+            fan_in = EMBED_DIM if name == "projection.W" else shape[-1]
+            fill_normal(tensors[name], derive_seed(seed, name), 1 / math.sqrt(fan_in))
     return TdnnParams(cfg, tensors)
 
 
@@ -604,12 +611,12 @@ def transfer_init(source: TdnnParams, new_num_classes: int, seed: int) -> TdnnPa
     for a new class count. Embeddings are unchanged by construction."""
     if new_num_classes < 1:
         raise ValueError(f"new_num_classes must be >= 1, got {new_num_classes}")
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "projection")))
     tensors = {
         name: t.copy() for name, t in source.tensors.items() if name != "projection.W"
     }
-    tensors["projection.W"] = rng.standard_normal((EMBED_DIM, new_num_classes)) / math.sqrt(
-        EMBED_DIM
+    tensors["projection.W"] = np.empty((EMBED_DIM, new_num_classes), source.dtype)
+    fill_normal(
+        tensors["projection.W"], derive_seed(seed, "projection"), 1 / math.sqrt(EMBED_DIM)
     )
     return TdnnParams(TdnnConfig(new_num_classes), tensors)
 

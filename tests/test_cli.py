@@ -688,6 +688,21 @@ def test_segment_refuses_an_utterance_without_alignment_entries_exit_2(
         assert not (tmp_path / "libs.partial").exists()
 
 
+def test_segment_refuses_an_empty_manifest_and_keeps_an_empty_out_exit_2(tmp_path, capsys):
+    manifest, ali, out = tmp_path / "m.tsv", tmp_path / "a.ctm", tmp_path / "out"
+    manifest.write_text("")
+    ali.write_text("")
+    out.mkdir()
+    code = run_cli(
+        "segment", "--manifest", str(manifest), "--ali", str(ali), "--units", "ni",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert f"{manifest}: the corpus manifest lists no utterances" in capsys.readouterr().err
+    assert out.is_dir() and not any(out.iterdir())
+    assert not (tmp_path / "out.partial").exists()
+
+
 def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 

@@ -47,6 +47,50 @@ def test_modules_import_only_the_standard_library_numpy_and_unitcat():
                 assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
+def test_no_module_uses_numpy_random():
+    # every draw comes from unitcat.rng's splitmix64 streams; importing
+    # numpy.random also loads secrets, hmac and hashlib
+    for path in sorted((SRC / "unitcat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for name in names:
+                assert not name.startswith(("numpy.random", "np.random")), (
+                    f"{path.name}:{node.lineno} uses {name}"
+                )
+
+
+def test_training_never_loads_numpy_random(tmp_path):
+    probe = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from unitcat.archive import write_archive\n"
+        "from unitcat.corpus import UtteranceRecord, save_manifest\n"
+        "from unitcat.pipeline import train_model\n"
+        "root = Path(sys.argv[1])\n"
+        "ids = [('a1', 'spkA'), ('a2', 'spkA'), ('b1', 'spkB'), ('b2', 'spkB')]\n"
+        "feats = np.cos(0.37 * np.arange(len(ids) * 30 * 40)).reshape(len(ids), 30, 40)\n"
+        "write_archive(root / 'feats', [(u, f) for (u, _), f in zip(ids, feats)])\n"
+        "records = [UtteranceRecord(u, s, ('ni',), u + '.wav') for u, s in ids]\n"
+        "save_manifest(root / 'm.tsv', records)\n"
+        "train_model(root / 'feats', [root / 'm.tsv'], root / 'params.bin', 2, 0.05, 7)\n"
+        "print((root / 'params.bin').exists(), 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout
+    assert out == "True False\n"
+
+
 def _moves(node, function=None):
     """(enclosing def, callee, line) of every call under node to rmtree, to
     a rename method or to os.replace."""
